@@ -8,19 +8,24 @@
 // bytes, so everything funnels through this one escaper.
 #pragma once
 
-#include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace rmts {
 
-/// Returns `raw` with '"', '\\' and control characters (< 0x20) escaped
-/// so that surrounding the result with quotes yields a valid JSON string.
-/// Common controls use the short forms (\n, \t, \r, \b, \f); the rest use
-/// \u00XX.  Bytes >= 0x80 pass through untouched (UTF-8 is valid JSON).
-inline std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
+/// Appends `raw` to `out` with '"', '\\' and control characters (< 0x20)
+/// escaped so that surrounding the result with quotes yields a valid JSON
+/// string.  Common controls use the short forms (\n, \t, \r, \b, \f); the
+/// rest use \u00XX.  Bytes >= 0x80 pass through untouched (UTF-8 is valid
+/// JSON).  Runs of bytes that need no escape are appended in one piece.
+inline void json_escape_append(std::string& out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -29,23 +34,21 @@ inline std::string json_escape(const std::string& raw) {
       case '\r': out += "\\r"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
-  return out;
+  out.append(raw.data() + run, raw.size() - run);
 }
 
-/// `raw` wrapped in quotes after escaping: the full JSON string literal.
-inline std::string json_quote(const std::string& raw) {
-  return '"' + json_escape(raw) + '"';
+/// `raw` with the escapes of json_escape_append() applied.
+inline std::string json_escape(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  json_escape_append(out, raw);
+  return out;
 }
 
 }  // namespace rmts

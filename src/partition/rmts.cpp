@@ -34,9 +34,16 @@ double Rmts::guaranteed_bound(const TaskSet& tasks) const {
 }
 
 Assignment Rmts::partition(const TaskSet& tasks, std::size_t m) const {
+  double guaranteed = 0.0;
+  return partition(tasks, m, guaranteed);
+}
+
+Assignment Rmts::partition(const TaskSet& tasks, std::size_t m,
+                           double& guaranteed) const {
   trace::count(trace::Counter::kPartitionRuns);
   const std::size_t n = tasks.size();
   const double lambda = guaranteed_bound(tasks);
+  guaranteed = lambda;
   const double light_threshold = light_task_threshold(n);
 
   std::vector<ProcessorState> processors(m);

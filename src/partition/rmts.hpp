@@ -45,6 +45,12 @@ class Rmts final : public Partitioner {
   [[nodiscard]] Assignment partition(const TaskSet& tasks,
                                      std::size_t processors) const override;
 
+  /// partition() that also stores the guaranteed_bound() it evaluated in
+  /// `guaranteed`, so a caller reporting the bound evaluates it once.
+  [[nodiscard]] Assignment partition(const TaskSet& tasks,
+                                     std::size_t processors,
+                                     double& guaranteed) const;
+
   [[nodiscard]] std::string name() const override { return label_; }
 
   /// The clamped bound min(Lambda(tau), 2 Theta/(1+Theta)) this instance

@@ -25,6 +25,14 @@ namespace {
   throw TransportError(what + ": " + std::strerror(errno));
 }
 
+/// `reply` parsed into this thread's reply document, or nullptr unless
+/// it is a JSON object.  Valid until the thread's next call.
+const JsonValue* parse_reply(std::string_view reply) noexcept {
+  thread_local JsonValue doc;
+  std::string error;
+  return json_parse(reply, doc, error) && doc.is_object() ? &doc : nullptr;
+}
+
 }  // namespace
 
 Client::Client(const std::string& host, std::uint16_t port, int timeout_ms,
@@ -125,46 +133,50 @@ RetryResult Client::request_with_retry(std::string_view line,
       result.attempts_exhausted = true;
       return result;
     }
-    // Exponential backoff from the policy, capped at max_backoff_ms and
-    // jittered so a fleet of clients decorrelates instead of re-bursting
-    // in lockstep.  The server's hint is applied LAST, as a floor the cap
-    // never truncates: max_backoff_ms bounds the client's own impatience,
-    // not how long the server asked it to stay away.
-    std::int64_t backoff_ms = policy.base_backoff_ms;
-    for (int k = 1; k < attempt && backoff_ms < policy.max_backoff_ms; ++k) {
-      backoff_ms *= 2;
-    }
-    backoff_ms =
-        std::min<std::int64_t>(backoff_ms, std::max(policy.max_backoff_ms, 1));
-    const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
-    const double factor =
-        1.0 + jitter * (2.0 * retry_rng_.uniform() - 1.0);
-    backoff_ms = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(static_cast<double>(backoff_ms) * factor));
-    backoff_ms = std::max<std::int64_t>(backoff_ms, hint_ms);
+    const std::int64_t backoff_ms =
+        retry_backoff_ms(policy, attempt, hint_ms, retry_rng_);
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     result.backoff_total_ms += backoff_ms;
   }
 }
 
+std::int64_t retry_backoff_ms(const RetryPolicy& policy, int retry,
+                              int hint_ms, Rng& rng) {
+  // Exponential backoff from the policy, capped at max_backoff_ms and
+  // jittered so a fleet of clients decorrelates instead of re-bursting
+  // in lockstep.  The server's hint is applied LAST, as a floor the cap
+  // never truncates: max_backoff_ms bounds the client's own impatience,
+  // not how long the server asked it to stay away.
+  std::int64_t backoff_ms = policy.base_backoff_ms;
+  for (int k = 1; k < retry && backoff_ms < policy.max_backoff_ms; ++k) {
+    backoff_ms *= 2;
+  }
+  backoff_ms =
+      std::min<std::int64_t>(backoff_ms, std::max(policy.max_backoff_ms, 1));
+  const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
+  const double factor = 1.0 + jitter * (2.0 * rng.uniform() - 1.0);
+  backoff_ms = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(static_cast<double>(backoff_ms) * factor));
+  return std::max<std::int64_t>(backoff_ms, hint_ms);
+}
+
+std::uint64_t reply_uint_field(std::string_view reply,
+                               std::string_view key) noexcept {
+  const JsonValue* doc = parse_reply(reply);
+  const JsonValue* field = doc != nullptr ? doc->find(key) : nullptr;
+  if (field == nullptr || !field->is_int() || field->as_int() < 0) return 0;
+  return static_cast<std::uint64_t>(field->as_int());
+}
+
 int Client::parse_retry_after_ms(std::string_view reply) noexcept {
-  if (reply.find("\"error\":\"overloaded\"") == std::string_view::npos) {
-    return 0;
-  }
-  static constexpr std::string_view kKey = "\"retry_after_ms\":";
-  const std::size_t at = reply.find(kKey);
-  if (at == std::string_view::npos) return 1;  // shed without a hint
-  std::size_t i = at + kKey.size();
-  long long value = 0;
-  bool any = false;
-  while (i < reply.size() && reply[i] >= '0' && reply[i] <= '9') {
-    value = value * 10 + (reply[i] - '0');
-    if (value > 1'000'000) value = 1'000'000;
-    ++i;
-    any = true;
-  }
-  if (!any || value <= 0) return 1;
-  return static_cast<int>(value);
+  const JsonValue* doc = parse_reply(reply);
+  if (doc == nullptr) return 0;
+  const JsonValue* error = doc->find("error");
+  if (error == nullptr || error->as_string() != "overloaded") return 0;
+  const JsonValue* hint = doc->find("retry_after_ms");
+  const double ms = hint != nullptr ? hint->as_double() : 0.0;
+  if (!(ms >= 1.0)) return 1;  // shed without a usable hint
+  return ms >= 1e6 ? 1'000'000 : static_cast<int>(ms);
 }
 
 void Client::send_line(std::string_view line) {
@@ -220,18 +232,10 @@ void write_common(JsonWriter& w, std::string_view op, std::size_t processors,
                   const TaskSet& tasks, std::string_view alg,
                   std::string_view bound, std::int64_t id,
                   std::int64_t deadline_ms) {
-  w.key("op");
-  w.value(op);
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  if (deadline_ms > 0) {
-    w.key("deadline_ms");
-    w.value(deadline_ms);
-  }
-  w.key("m");
-  w.value(processors);
+  w.member("op", op);
+  if (id >= 0) w.member("id", id);
+  if (deadline_ms > 0) w.member("deadline_ms", deadline_ms);
+  w.member("m", processors);
   w.key("tasks");
   w.begin_array();
   for (const Task& task : tasks) {
@@ -241,14 +245,8 @@ void write_common(JsonWriter& w, std::string_view op, std::size_t processors,
     w.end_array();
   }
   w.end_array();
-  if (!alg.empty()) {
-    w.key("alg");
-    w.value(alg);
-  }
-  if (!bound.empty()) {
-    w.key("bound");
-    w.value(bound);
-  }
+  if (!alg.empty()) w.member("alg", alg);
+  if (!bound.empty()) w.member("bound", bound);
 }
 
 }  // namespace
@@ -270,26 +268,12 @@ std::string make_admit_batch_request(std::size_t processors,
                                      std::int64_t deadline_ms) {
   JsonWriter w;
   w.begin_object();
-  w.key("op");
-  w.value("admit_batch");
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  if (deadline_ms > 0) {
-    w.key("deadline_ms");
-    w.value(deadline_ms);
-  }
-  w.key("m");
-  w.value(processors);
-  if (!alg.empty()) {
-    w.key("alg");
-    w.value(alg);
-  }
-  if (!bound.empty()) {
-    w.key("bound");
-    w.value(bound);
-  }
+  w.member("op", "admit_batch");
+  if (id >= 0) w.member("id", id);
+  if (deadline_ms > 0) w.member("deadline_ms", deadline_ms);
+  w.member("m", processors);
+  if (!alg.empty()) w.member("alg", alg);
+  if (!bound.empty()) w.member("bound", bound);
   w.key("items");
   w.begin_array();
   for (const TaskSet& tasks : batch) {
@@ -328,14 +312,8 @@ std::string make_robustness_request(std::size_t processors,
   JsonWriter w;
   w.begin_object();
   write_common(w, "robustness", processors, tasks, alg, bound, id, deadline_ms);
-  if (max_factor > 0.0) {
-    w.key("max_factor");
-    w.value(max_factor);
-  }
-  if (fault_seed != 0) {
-    w.key("fault_seed");
-    w.value(fault_seed);
-  }
+  if (max_factor > 0.0) w.member("max_factor", max_factor);
+  if (fault_seed != 0) w.member("fault_seed", fault_seed);
   w.end_object();
   return w.str();
 }
@@ -353,12 +331,8 @@ std::string make_simulate_request(std::size_t processors, const TaskSet& tasks,
 std::string make_stats_request(std::int64_t id) {
   JsonWriter w;
   w.begin_object();
-  w.key("op");
-  w.value("stats");
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
+  w.member("op", "stats");
+  if (id >= 0) w.member("id", id);
   w.end_object();
   return w.str();
 }
@@ -366,12 +340,8 @@ std::string make_stats_request(std::int64_t id) {
 std::string make_metrics_request(std::int64_t id) {
   JsonWriter w;
   w.begin_object();
-  w.key("op");
-  w.value("metrics");
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
+  w.member("op", "metrics");
+  if (id >= 0) w.member("id", id);
   w.end_object();
   return w.str();
 }
@@ -384,20 +354,10 @@ void begin_session_request(JsonWriter& w, std::string_view op,
                            std::uint64_t session, std::int64_t id,
                            std::int64_t deadline_ms) {
   w.begin_object();
-  w.key("op");
-  w.value(op);
-  if (id >= 0) {
-    w.key("id");
-    w.value(id);
-  }
-  if (deadline_ms > 0) {
-    w.key("deadline_ms");
-    w.value(deadline_ms);
-  }
-  if (session != 0) {
-    w.key("session");
-    w.value(session);
-  }
+  w.member("op", op);
+  if (id >= 0) w.member("id", id);
+  if (deadline_ms > 0) w.member("deadline_ms", deadline_ms);
+  if (session != 0) w.member("session", session);
 }
 
 }  // namespace
@@ -407,10 +367,8 @@ std::string make_session_open_request(std::size_t processors, bool split,
                                       std::int64_t deadline_ms) {
   JsonWriter w;
   begin_session_request(w, "session_open", 0, id, deadline_ms);
-  w.key("m");
-  w.value(processors);
-  w.key("split");
-  w.value(split);
+  w.member("m", processors);
+  w.member("split", split);
   w.end_object();
   return w.str();
 }
@@ -420,10 +378,8 @@ std::string make_session_admit_request(std::uint64_t session, Time wcet,
                                        std::int64_t deadline_ms) {
   JsonWriter w;
   begin_session_request(w, "session_admit", session, id, deadline_ms);
-  w.key("wcet");
-  w.value(static_cast<std::int64_t>(wcet));
-  w.key("period");
-  w.value(static_cast<std::int64_t>(period));
+  w.member("wcet", static_cast<std::int64_t>(wcet));
+  w.member("period", static_cast<std::int64_t>(period));
   w.end_object();
   return w.str();
 }
@@ -433,8 +389,7 @@ std::string make_session_depart_request(std::uint64_t session,
                                         std::int64_t deadline_ms) {
   JsonWriter w;
   begin_session_request(w, "session_depart", session, id, deadline_ms);
-  w.key("ticket");
-  w.value(ticket);
+  w.member("ticket", ticket);
   w.end_object();
   return w.str();
 }

@@ -53,6 +53,19 @@ struct RetryPolicy {
   double jitter{0.3};
 };
 
+/// Milliseconds to wait before retry `retry` (1-based) per `policy`, given
+/// the server's retry_after_ms hint (0 for none): the jittered exponential
+/// term, floored at the hint.  Jitter is clamped to [0, 1].  Shared by
+/// Client::request_with_retry() and the load driver's open loop.
+[[nodiscard]] std::int64_t retry_backoff_ms(const RetryPolicy& policy, int retry,
+                                            int hint_ms, Rng& rng);
+
+/// The top-level integer field `key` of a reply line; 0 when the line is
+/// not a JSON object or the field is absent, negative or not an integer
+/// (session ids and tickets start at 1).
+[[nodiscard]] std::uint64_t reply_uint_field(std::string_view reply,
+                                             std::string_view key) noexcept;
+
 /// Outcome of request_with_retry(): the final reply (possibly still an
 /// `overloaded` error when attempts ran out) plus what it took.
 struct RetryResult {
@@ -90,9 +103,10 @@ class Client {
   RetryResult request_with_retry(std::string_view line,
                                  const RetryPolicy& policy = {});
 
-  /// Extracts the retry_after_ms hint from an `overloaded` reply line;
-  /// 0 when the reply is not an overload shed (exposed for the load
-  /// driver, which manages its own send/receive interleaving).
+  /// Extracts the top-level retry_after_ms hint from an `overloaded` reply
+  /// line (capped at 10^6, 1 when absent); 0 when the reply is not an
+  /// overload shed (exposed for the load driver, which manages its own
+  /// send/receive interleaving).
   [[nodiscard]] static int parse_retry_after_ms(std::string_view reply) noexcept;
 
   /// Writes `line` plus the terminating newline.

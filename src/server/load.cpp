@@ -78,41 +78,6 @@ Picked pick_request(Rng& rng, const std::vector<OpRequests>& ops,
   return p;
 }
 
-/// Exponential backoff before resend attempt `next_attempt` (2-based:
-/// the first resend is attempt 2), never sooner than the server's hint,
-/// jittered so a fleet of connections decorrelates.  As in
-/// Client::request_with_retry, max_backoff_ms caps only the driver's own
-/// exponential term -- the server's hint is honored in full.
-std::int64_t retry_backoff_ms(const RetryPolicy& policy, int next_attempt,
-                              int hint_ms, Rng& rng) {
-  std::int64_t backoff = policy.base_backoff_ms;
-  for (int k = 2; k < next_attempt && backoff < policy.max_backoff_ms; ++k) {
-    backoff *= 2;
-  }
-  backoff = std::min<std::int64_t>(backoff, std::max(policy.max_backoff_ms, 1));
-  const double factor = 1.0 + policy.jitter * (2.0 * rng.uniform() - 1.0);
-  backoff = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(static_cast<double>(backoff) * factor));
-  return std::max<std::int64_t>(backoff, hint_ms);
-}
-
-/// Digits immediately following `key` in a whitespace-free JSON reply;
-/// 0 when the key is absent (our ids and tickets start at 1).
-std::uint64_t parse_u64_field(const std::string& reply,
-                              std::string_view key) noexcept {
-  const std::size_t pos = reply.find(key);
-  if (pos == std::string::npos) return 0;
-  std::size_t i = pos + key.size();
-  std::uint64_t value = 0;
-  bool any = false;
-  while (i < reply.size() && reply[i] >= '0' && reply[i] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(reply[i] - '0');
-    any = true;
-    ++i;
-  }
-  return any ? value : 0;
-}
-
 /// One connection's session-churn loop: open a private session, then an
 /// admit/depart mix with live-ticket tracking until the deadline.
 void run_session_churn(Client& client, const LoadConfig& config,
@@ -123,7 +88,7 @@ void run_session_churn(Client& client, const LoadConfig& config,
   const std::string open_line =
       make_session_open_request(config.processors, /*split=*/true);
   const std::string open_reply = client.request(open_line);
-  const std::uint64_t session = parse_u64_field(open_reply, "\"session\":");
+  const std::uint64_t session = reply_uint_field(open_reply, "session");
   if (session == 0) {
     // The registry is full (or the reply was an error): nothing to churn.
     ++report.errors;
@@ -185,7 +150,7 @@ void run_session_churn(Client& client, const LoadConfig& config,
       tickets[slot] = tickets.back();
       tickets.pop_back();
     } else {
-      const std::uint64_t ticket = parse_u64_field(reply, "\"ticket\":");
+      const std::uint64_t ticket = reply_uint_field(reply, "ticket");
       if (ticket != 0) tickets.push_back(ticket);
     }
   }
@@ -292,7 +257,7 @@ void open_loop_receiver(Client& client, const LoadConfig& config,
           entry.attempt < std::max(config.max_attempts, 1)) {
         const int hint = Client::parse_retry_after_ms(reply);
         const std::int64_t backoff =
-            retry_backoff_ms(policy, entry.attempt + 1, hint, jitter);
+            retry_backoff_ms(policy, entry.attempt, hint, jitter);
         const std::scoped_lock lock(ch.mu);
         if (!ch.sender_done) {
           ch.retries.push_back({entry.op_index, entry.line_index,

@@ -229,12 +229,9 @@ RequestPeek peek_request(std::string_view line) noexcept {
 std::string overloaded_reply(int retry_after_ms) {
   JsonWriter w;
   w.begin_object();
-  w.key("ok");
-  w.value(false);
-  w.key("error");
-  w.value("overloaded");
-  w.key("retry_after_ms");
-  w.value(static_cast<std::int64_t>(retry_after_ms));
+  w.member("ok", false);
+  w.member("error", "overloaded");
+  w.member("retry_after_ms", static_cast<std::int64_t>(retry_after_ms));
   w.end_object();
   return w.str();
 }
@@ -242,12 +239,9 @@ std::string overloaded_reply(int retry_after_ms) {
 std::string deadline_expired_reply(std::int64_t waited_ms) {
   JsonWriter w;
   w.begin_object();
-  w.key("ok");
-  w.value(false);
-  w.key("error");
-  w.value("deadline_expired");
-  w.key("waited_ms");
-  w.value(waited_ms);
+  w.member("ok", false);
+  w.member("error", "deadline_expired");
+  w.member("waited_ms", waited_ms);
   w.end_object();
   return w.str();
 }

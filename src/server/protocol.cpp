@@ -44,10 +44,8 @@ bool LineDecoder::next(Line& out) {
 std::string error_reply(std::string_view message) {
   JsonWriter w;
   w.begin_object();
-  w.key("ok");
-  w.value(false);
-  w.key("error");
-  w.value(message);
+  w.member("ok", false);
+  w.member("error", message);
   w.end_object();
   return w.str();
 }

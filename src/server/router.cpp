@@ -78,8 +78,9 @@ double optional_double(const JsonValue& request, std::string_view key,
   return parsed;
 }
 
-std::string optional_string(const JsonValue& request, std::string_view key,
-                            std::string fallback) {
+/// The view is into the request's document, valid while it is.
+std::string_view optional_string(const JsonValue& request, std::string_view key,
+                                 std::string_view fallback) {
   const JsonValue* value = request.find(key);
   if (value == nullptr) return fallback;
   if (!value->is_string()) {
@@ -95,30 +96,32 @@ TaskSet parse_tasks(const JsonValue& request, std::size_t max_tasks) {
   if (tasks.items().size() > max_tasks) {
     reject("too many tasks (limit " + std::to_string(max_tasks) + ")");
   }
-  std::vector<std::pair<Time, Time>> pairs;
-  pairs.reserve(tasks.items().size());
+  // Ids follow document order, as in TaskSet::from_pairs.
+  std::vector<Task> parsed;
+  parsed.reserve(tasks.items().size());
   for (const JsonValue& entry : tasks.items()) {
-    if (!entry.is_array() || entry.items().size() != 2 ||
-        !entry.items()[0].is_int() || !entry.items()[1].is_int()) {
+    const JsonValue::Items pair = entry.items();
+    if (pair.size() != 2 || !pair[0].is_int() || !pair[1].is_int()) {
       reject("each task must be a [wcet, period] pair of integers");
     }
-    pairs.emplace_back(entry.items()[0].as_int(), entry.items()[1].as_int());
+    parsed.push_back(Task{pair[0].as_int(), pair[1].as_int(),
+                          static_cast<TaskId>(parsed.size())});
   }
   // TaskSet validates 0 < C <= T and throws InvalidTaskError with the
   // offending values; handle() maps that to ok:false.
-  return TaskSet::from_pairs(pairs);
+  return TaskSet(std::move(parsed));
 }
 
-BoundPtr make_bound(const std::string& name) {
+BoundPtr make_bound(std::string_view name) {
   if (name == "ll") return std::make_shared<LiuLaylandBound>();
   if (name == "hc") return std::make_shared<HarmonicChainBound>();
   if (name == "tbound") return std::make_shared<TBound>();
   if (name == "rbound") return std::make_shared<RBound>();
   if (name == "burchard") return std::make_shared<BurchardBound>();
-  reject("unknown bound '" + name + "'");
+  reject("unknown bound '" + std::string(name) + "'");
 }
 
-std::shared_ptr<const Partitioner> make_algorithm(const std::string& name,
+std::shared_ptr<const Partitioner> make_algorithm(std::string_view name,
                                                   const BoundPtr& bound) {
   if (name == "rmts") return std::make_shared<Rmts>(bound);
   if (name == "rmts-light") return std::make_shared<RmtsLight>();
@@ -130,7 +133,7 @@ std::shared_ptr<const Partitioner> make_algorithm(const std::string& name,
                                            Admission::kExactRta);
   }
   if (name == "edf-ts") return std::make_shared<EdfSplit>();
-  reject("unknown algorithm '" + name + "'");
+  reject("unknown algorithm '" + std::string(name) + "'");
 }
 
 /// Everything the partition-based endpoints share: task set, M, algorithm
@@ -138,7 +141,7 @@ std::shared_ptr<const Partitioner> make_algorithm(const std::string& name,
 struct PartitionRequest {
   TaskSet tasks;
   std::size_t processors{0};
-  std::string algorithm_key;
+  std::string_view algorithm_key;  ///< into the request's document
   std::shared_ptr<const Partitioner> algorithm;
   DispatchPolicy policy{DispatchPolicy::kFixedPriority};
 };
@@ -150,7 +153,7 @@ PartitionRequest parse_partition_request(const JsonValue& request,
   out.processors = static_cast<std::size_t>(require_int(
       request, "m", 1, static_cast<std::int64_t>(config.max_processors)));
   out.algorithm_key = optional_string(request, "alg", "rmts");
-  const std::string bound = optional_string(request, "bound", "hc");
+  const std::string_view bound = optional_string(request, "bound", "hc");
   out.algorithm = make_algorithm(out.algorithm_key, make_bound(bound));
   out.policy = out.algorithm_key == "edf-ts"
                    ? DispatchPolicy::kEarliestDeadlineFirst
@@ -162,35 +165,23 @@ PartitionRequest parse_partition_request(const JsonValue& request,
 /// leaves the object open for endpoint-specific fields.
 void begin_reply(JsonWriter& w, std::string_view op, const JsonValue* id) {
   w.begin_object();
-  w.key("ok");
-  w.value(true);
-  w.key("op");
-  w.value(op);
-  if (id != nullptr) {
-    w.key("id");
-    w.value(*id);
-  }
+  w.member("ok", true);
+  w.member("op", op);
+  if (id != nullptr) w.member("id", *id);
 }
 
 void write_task_set_summary(JsonWriter& w, const TaskSet& tasks,
                             std::size_t processors) {
-  w.key("n");
-  w.value(tasks.size());
-  w.key("utilization");
-  w.value(tasks.total_utilization());
-  w.key("normalized_utilization");
-  w.value(tasks.normalized_utilization(processors));
+  w.member("n", tasks.size());
+  w.member("utilization", tasks.total_utilization());
+  w.member("normalized_utilization", tasks.normalized_utilization(processors));
 }
 
 void write_assignment_summary(JsonWriter& w, const Assignment& assignment) {
-  w.key("accepted");
-  w.value(assignment.success);
-  w.key("splits");
-  w.value(assignment.split_task_count());
-  w.key("subtasks");
-  w.value(assignment.subtask_count());
-  w.key("assigned_utilization");
-  w.value(assignment.assigned_utilization());
+  w.member("accepted", assignment.success);
+  w.member("splits", assignment.split_task_count());
+  w.member("subtasks", assignment.subtask_count());
+  w.member("assigned_utilization", assignment.assigned_utilization());
   if (!assignment.unassigned.empty()) {
     w.key("unassigned");
     w.begin_array();
@@ -204,14 +195,15 @@ void write_assignment_summary(JsonWriter& w, const Assignment& assignment) {
 void handle_admit(JsonWriter& w, const JsonValue& request,
                   const RouterConfig& config) {
   const PartitionRequest p = parse_partition_request(request, config);
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.key("algorithm");
-  w.value(p.algorithm->name());
+  // RM-TS reports the bound its partition() evaluated, not a second one.
+  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm.get());
+  double guaranteed = 0.0;
+  const Assignment assignment =
+      rmts != nullptr ? rmts->partition(p.tasks, p.processors, guaranteed)
+                      : p.algorithm->partition(p.tasks, p.processors);
+  w.member("algorithm", p.algorithm->name());
   write_task_set_summary(w, p.tasks, p.processors);
-  if (const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm.get())) {
-    w.key("guaranteed_bound");
-    w.value(rmts->guaranteed_bound(p.tasks));
-  }
+  if (rmts != nullptr) w.member("guaranteed_bound", guaranteed);
   write_assignment_summary(w, assignment);
 }
 
@@ -233,8 +225,9 @@ void handle_admit_batch(JsonWriter& w, const JsonValue& request,
   const std::int64_t default_m =
       optional_int(request, "m", 0, 1,
                    static_cast<std::int64_t>(config.max_processors));
-  const std::string default_alg = optional_string(request, "alg", "rmts");
-  const std::string default_bound = optional_string(request, "bound", "hc");
+  const std::string_view default_alg = optional_string(request, "alg", "rmts");
+  const std::string_view default_bound =
+      optional_string(request, "bound", "hc");
 
   std::size_t accepted = 0;
   w.key("items");
@@ -248,45 +241,37 @@ void handle_admit_batch(JsonWriter& w, const JsonValue& request,
                        static_cast<std::int64_t>(config.max_processors));
       if (m == 0) reject("missing field 'm' (item or request level)");
       const TaskSet tasks = parse_tasks(item, config.max_tasks);
-      const std::string alg = optional_string(item, "alg", default_alg);
-      const std::string bound = optional_string(item, "bound", default_bound);
+      const std::string_view alg = optional_string(item, "alg", default_alg);
+      const std::string_view bound =
+          optional_string(item, "bound", default_bound);
       const std::shared_ptr<const Partitioner> algorithm =
           make_algorithm(alg, make_bound(bound));
       const auto processors = static_cast<std::size_t>(m);
       const Assignment assignment = algorithm->partition(tasks, processors);
-      w.key("ok");
-      w.value(true);
-      w.key("algorithm");
-      w.value(algorithm->name());
+      w.member("ok", true);
+      w.member("algorithm", algorithm->name());
       write_task_set_summary(w, tasks, processors);
       write_assignment_summary(w, assignment);
       if (assignment.success) ++accepted;
     } catch (const ProtocolError& error) {
-      w.key("ok");
-      w.value(false);
-      w.key("error");
-      w.value(error.message);
+      w.member("ok", false);
+      w.member("error", error.message);
     } catch (const Error& error) {
-      w.key("ok");
-      w.value(false);
-      w.key("error");
-      w.value(std::string_view(error.what()));
+      w.member("ok", false);
+      w.member("error", std::string_view(error.what()));
     }
     w.end_object();
   }
   w.end_array();
-  w.key("accepted_count");
-  w.value(accepted);
+  w.member("accepted_count", accepted);
 }
 
 void handle_analyze(JsonWriter& w, const JsonValue& request,
                     const RouterConfig& config) {
   const PartitionRequest p = parse_partition_request(request, config);
   write_task_set_summary(w, p.tasks, p.processors);
-  w.key("harmonic");
-  w.value(p.tasks.is_harmonic());
-  w.key("max_task_utilization");
-  w.value(p.tasks.max_utilization());
+  w.member("harmonic", p.tasks.is_harmonic());
+  w.member("max_task_utilization", p.tasks.max_utilization());
 
   // Per-bound utilization thresholds, all evaluated on the ORIGINAL set
   // (re-evaluating on partitions would be unsound -- bounds/bound.hpp).
@@ -294,50 +279,40 @@ void handle_analyze(JsonWriter& w, const JsonValue& request,
   w.begin_object();
   for (const char* name : {"ll", "hc", "tbound", "rbound", "burchard"}) {
     const BoundPtr bound = make_bound(name);
-    w.key(bound->name());
-    w.value(bound->evaluate(p.tasks));
+    w.member(bound->name(), bound->evaluate(p.tasks));
   }
   w.end_object();
-  w.key("light_threshold");
-  w.value(light_task_threshold(p.tasks.size()));
-  w.key("rmts_cap");
-  w.value(rmts_bound_cap(p.tasks.size()));
-  w.key("light");
-  w.value(p.tasks.all_lighter_than(light_task_threshold(p.tasks.size())));
+  w.member("light_threshold", light_task_threshold(p.tasks.size()));
+  w.member("rmts_cap", rmts_bound_cap(p.tasks.size()));
+  w.member("light",
+           p.tasks.all_lighter_than(light_task_threshold(p.tasks.size())));
 
   // RTA detail of the requested algorithm's partition: every subtask's
   // measured response time against its synthetic deadline.
   const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
   w.key("rta");
   w.begin_object();
-  w.key("algorithm");
-  w.value(p.algorithm->name());
+  w.member("algorithm", p.algorithm->name());
   write_assignment_summary(w, assignment);
   if (assignment.success && p.policy == DispatchPolicy::kFixedPriority) {
     w.key("processors");
     w.begin_array();
     for (const ProcessorAssignment& proc : assignment.processors) {
       w.begin_object();
-      w.key("utilization");
-      w.value(proc.utilization());
+      w.member("utilization", proc.utilization());
       const ProcessorRta rta = analyze_processor(proc.subtasks);
       w.key("subtasks");
       w.begin_array();
       for (std::size_t s = 0; s < proc.subtasks.size(); ++s) {
         const Subtask& subtask = proc.subtasks[s];
         w.begin_object();
-        w.key("task");
-        w.value(static_cast<std::uint64_t>(subtask.task_id));
-        w.key("part");
-        w.value(static_cast<std::int64_t>(subtask.part));
-        w.key("wcet");
-        w.value(subtask.wcet);
-        w.key("period");
-        w.value(subtask.period);
-        w.key("deadline");
-        w.value(subtask.deadline);
-        w.key("response");
-        w.value(s < rta.response.size() ? rta.response[s] : Time{0});
+        w.member("task", static_cast<std::uint64_t>(subtask.task_id));
+        w.member("part", static_cast<std::int64_t>(subtask.part));
+        w.member("wcet", subtask.wcet);
+        w.member("period", subtask.period);
+        w.member("deadline", subtask.deadline);
+        w.member("response",
+                 s < rta.response.size() ? rta.response[s] : Time{0});
         w.end_object();
       }
       w.end_array();
@@ -362,34 +337,27 @@ void handle_robustness(JsonWriter& w, const JsonValue& request,
       request, "max_jitter", 0, 0, std::numeric_limits<std::int64_t>::max() / 2);
 
   const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.key("algorithm");
-  w.value(p.algorithm->name());
+  w.member("algorithm", p.algorithm->name());
   write_task_set_summary(w, p.tasks, p.processors);
-  w.key("accepted");
-  w.value(assignment.success);
+  w.member("accepted", assignment.success);
   if (!assignment.success) return;
 
   const RobustnessReport report =
       analyze_robustness(p.tasks, assignment, robustness);
-  w.key("simulated_overrun_margin");
-  w.value(report.simulated_overrun_margin);
-  w.key("simulated_jitter_margin");
-  w.value(report.simulated_jitter_margin);
-  w.key("analytic_supported");
-  w.value(report.analytic_supported);
+  w.member("simulated_overrun_margin", report.simulated_overrun_margin);
+  w.member("simulated_jitter_margin", report.simulated_jitter_margin);
+  w.member("analytic_supported", report.analytic_supported);
   if (report.analytic_supported) {
-    w.key("analytic_overrun_margin");
-    w.value(report.analytic_overrun_margin);
-    w.key("analytic_jitter_margin");
-    w.value(report.analytic_jitter_margin);
+    w.member("analytic_overrun_margin", report.analytic_overrun_margin);
+    w.member("analytic_jitter_margin", report.analytic_jitter_margin);
   }
 }
 
-ContainmentPolicy parse_containment(const std::string& name) {
+ContainmentPolicy parse_containment(std::string_view name) {
   if (name == "none") return ContainmentPolicy::kNone;
   if (name == "budget") return ContainmentPolicy::kBudgetEnforcement;
   if (name == "demote") return ContainmentPolicy::kPriorityDemotion;
-  reject("unknown containment policy '" + name + "'");
+  reject("unknown containment policy '" + std::string(name) + "'");
 }
 
 FaultModel parse_faults(const JsonValue& request) {
@@ -428,58 +396,41 @@ void handle_simulate(JsonWriter& w, const JsonValue& request,
   sim.horizon = recommended_horizon(p.tasks, cap);
 
   const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.key("algorithm");
-  w.value(p.algorithm->name());
+  w.member("algorithm", p.algorithm->name());
   write_task_set_summary(w, p.tasks, p.processors);
-  w.key("accepted");
-  w.value(assignment.success);
+  w.member("accepted", assignment.success);
   if (!assignment.success) return;
 
   // One workspace per worker thread: repeated simulate requests on a
   // connection reuse it allocation-free (the PR 3 hot path).
   thread_local SimWorkspace workspace;
   const SimResult& run = simulate(p.tasks, assignment, sim, workspace);
-  w.key("schedulable");
-  w.value(run.schedulable);
-  w.key("simulated_until");
-  w.value(run.simulated_until);
-  w.key("events");
-  w.value(run.events);
-  w.key("jobs_released");
-  w.value(run.jobs_released);
-  w.key("jobs_completed");
-  w.value(run.jobs_completed);
-  w.key("preemptions");
-  w.value(run.preemptions);
-  w.key("migrations");
-  w.value(run.migrations);
-  w.key("misses");
-  w.value(run.misses.size());
+  w.member("schedulable", run.schedulable);
+  w.member("simulated_until", run.simulated_until);
+  w.member("events", run.events);
+  w.member("jobs_released", run.jobs_released);
+  w.member("jobs_completed", run.jobs_completed);
+  w.member("preemptions", run.preemptions);
+  w.member("migrations", run.migrations);
+  w.member("misses", run.misses.size());
   if (!run.misses.empty()) {
     constexpr std::size_t kMaxEchoedMisses = 8;
     w.key("first_misses");
     w.begin_array();
     for (std::size_t i = 0; i < run.misses.size() && i < kMaxEchoedMisses; ++i) {
       w.begin_object();
-      w.key("task");
-      w.value(static_cast<std::uint64_t>(run.misses[i].task));
-      w.key("release");
-      w.value(run.misses[i].release);
-      w.key("deadline");
-      w.value(run.misses[i].deadline);
+      w.member("task", static_cast<std::uint64_t>(run.misses[i].task));
+      w.member("release", run.misses[i].release);
+      w.member("deadline", run.misses[i].deadline);
       w.end_object();
     }
     w.end_array();
   }
   if (sim.faults.active()) {
-    w.key("degraded");
-    w.value(run.jobs_degraded);
-    w.key("aborted");
-    w.value(run.jobs_aborted);
-    w.key("demoted");
-    w.value(run.jobs_demoted);
-    w.key("orphaned");
-    w.value(run.subtasks_orphaned);
+    w.member("degraded", run.jobs_degraded);
+    w.member("aborted", run.jobs_aborted);
+    w.member("demoted", run.jobs_demoted);
+    w.member("orphaned", run.subtasks_orphaned);
   }
 }
 
@@ -526,12 +477,9 @@ void handle_session_open(JsonWriter& w, const JsonValue& request,
     reject("too many open sessions (limit " +
            std::to_string(config.max_sessions) + ")");
   }
-  w.key("session");
-  w.value(id);
-  w.key("processors");
-  w.value(session.processors);
-  w.key("max_resident");
-  w.value(session.max_resident);
+  w.member("session", id);
+  w.member("processors", session.processors);
+  w.member("max_resident", session.max_resident);
 }
 
 /// Locks the session named by the request's required `session` field;
@@ -555,16 +503,12 @@ void handle_session_admit(JsonWriter& w, const JsonValue& request,
   const online::SessionRegistry::Handle handle =
       lock_session(request, sessions);
   const online::AdmitResult result = handle.session().admit(wcet, period);
-  w.key("accepted");
-  w.value(result.admitted);
+  w.member("accepted", result.admitted);
   if (result.admitted) {
-    w.key("ticket");
-    w.value(result.ticket);
-    w.key("parts");
-    w.value(result.parts);
+    w.member("ticket", result.ticket);
+    w.member("parts", result.parts);
   } else {
-    w.key("reason");
-    w.value(result.reason);
+    w.member("reason", result.reason);
   }
 }
 
@@ -576,45 +520,30 @@ void handle_session_depart(JsonWriter& w, const JsonValue& request,
       lock_session(request, sessions);
   const bool departed =
       handle.session().depart(static_cast<online::Ticket>(ticket));
-  w.key("departed");
-  w.value(departed);
+  w.member("departed", departed);
 }
 
 void handle_session_rebalance(JsonWriter& w, const JsonValue& request,
                               const online::SessionRegistry& sessions) {
   const online::SessionRegistry::Handle handle =
       lock_session(request, sessions);
-  w.key("migrations");
-  w.value(handle.session().rebalance());
+  w.member("migrations", handle.session().rebalance());
 }
 
 void write_session_stats(JsonWriter& w, const online::SessionStats& stats) {
-  w.key("processors");
-  w.value(stats.processors);
-  w.key("resident_tasks");
-  w.value(stats.resident_tasks);
-  w.key("resident_subtasks");
-  w.value(stats.resident_subtasks);
-  w.key("split_residents");
-  w.value(stats.split_residents);
-  w.key("admits");
-  w.value(stats.admits_total);
-  w.key("rejects");
-  w.value(stats.rejects_total);
-  w.key("departs");
-  w.value(stats.departs_total);
-  w.key("migrations");
-  w.value(stats.migrations_total);
-  w.key("rebalance_rounds");
-  w.value(stats.rebalance_rounds_total);
-  w.key("utilization");
-  w.value(stats.utilization);
-  w.key("normalized_utilization");
-  w.value(stats.normalized_utilization);
-  w.key("min_processor_utilization");
-  w.value(stats.min_processor_utilization);
-  w.key("max_processor_utilization");
-  w.value(stats.max_processor_utilization);
+  w.member("processors", stats.processors);
+  w.member("resident_tasks", stats.resident_tasks);
+  w.member("resident_subtasks", stats.resident_subtasks);
+  w.member("split_residents", stats.split_residents);
+  w.member("admits", stats.admits_total);
+  w.member("rejects", stats.rejects_total);
+  w.member("departs", stats.departs_total);
+  w.member("migrations", stats.migrations_total);
+  w.member("rebalance_rounds", stats.rebalance_rounds_total);
+  w.member("utilization", stats.utilization);
+  w.member("normalized_utilization", stats.normalized_utilization);
+  w.member("min_processor_utilization", stats.min_processor_utilization);
+  w.member("max_processor_utilization", stats.max_processor_utilization);
 }
 
 void handle_session_stats(JsonWriter& w, const JsonValue& request,
@@ -628,8 +557,7 @@ void handle_session_close(JsonWriter& w, const JsonValue& request,
                           online::SessionRegistry& sessions) {
   const std::int64_t id = require_int(
       request, "session", 1, std::numeric_limits<std::int64_t>::max());
-  w.key("closed");
-  w.value(sessions.close(static_cast<online::SessionId>(id)));
+  w.member("closed", sessions.close(static_cast<online::SessionId>(id)));
 }
 
 void write_endpoint_stats(JsonWriter& w, const Metrics& metrics,
@@ -637,20 +565,13 @@ void write_endpoint_stats(JsonWriter& w, const Metrics& metrics,
   const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
   w.key(endpoint_name(endpoint));
   w.begin_object();
-  w.key("requests");
-  w.value(snap.requests);
-  w.key("errors");
-  w.value(snap.errors);
-  w.key("p50_us");
-  w.value(snap.p50_micros);
-  w.key("p90_us");
-  w.value(snap.p90_micros);
-  w.key("p99_us");
-  w.value(snap.p99_micros);
-  w.key("mean_us");
-  w.value(snap.mean_micros);
-  w.key("max_us");
-  w.value(snap.max_micros);
+  w.member("requests", snap.requests);
+  w.member("errors", snap.errors);
+  w.member("p50_us", snap.p50_micros);
+  w.member("p90_us", snap.p90_micros);
+  w.member("p99_us", snap.p99_micros);
+  w.member("mean_us", snap.mean_micros);
+  w.member("max_us", snap.max_micros);
   w.end_object();
 }
 
@@ -659,28 +580,20 @@ void write_endpoint_stats(JsonWriter& w, const Metrics& metrics,
 void write_overload_stats(JsonWriter& w, const RuntimeStats& runtime) {
   w.key("overload");
   w.begin_object();
-  w.key("adaptive");
-  w.value(runtime.adaptive);
-  w.key("controller_ticks");
-  w.value(runtime.controller_ticks);
-  w.key("requests_expired");
-  w.value(runtime.requests_expired);
+  w.member("adaptive", runtime.adaptive);
+  w.member("controller_ticks", runtime.controller_ticks);
+  w.member("requests_expired", runtime.requests_expired);
   w.key("classes");
   w.begin_object();
   for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
     const ClassRuntimeStats& cls = runtime.classes[c];
     w.key(budget_class_name(static_cast<BudgetClass>(c)));
     w.begin_object();
-    w.key("budget");
-    w.value(static_cast<std::uint64_t>(cls.budget));
-    w.key("in_flight");
-    w.value(cls.in_flight);
-    w.key("shed");
-    w.value(cls.shed);
-    w.key("expired");
-    w.value(cls.expired);
-    w.key("retry_after_ms");
-    w.value(cls.retry_after_ms);
+    w.member("budget", static_cast<std::uint64_t>(cls.budget));
+    w.member("in_flight", cls.in_flight);
+    w.member("shed", cls.shed);
+    w.member("expired", cls.expired);
+    w.member("retry_after_ms", cls.retry_after_ms);
     w.end_object();
   }
   w.end_object();
@@ -690,8 +603,7 @@ void write_overload_stats(JsonWriter& w, const RuntimeStats& runtime) {
 /// Cross-layer stage timers and counters, appended to the stats reply
 /// when the tracing layer is compiled in (common/trace.hpp).
 void write_trace_stats(JsonWriter& w) {
-  w.key("tracing");
-  w.value(trace::compiled_in() && trace::enabled());
+  w.member("tracing", trace::compiled_in() && trace::enabled());
   if (!trace::compiled_in()) return;
   const trace::Snapshot snap = trace::snapshot();
   w.key("stages");
@@ -701,26 +613,20 @@ void write_trace_stats(JsonWriter& w) {
     if (stage.count == 0) continue;
     w.key(trace::stage_name(static_cast<trace::Stage>(s)));
     w.begin_object();
-    w.key("count");
-    w.value(stage.count);
-    w.key("total_us");
-    w.value(static_cast<double>(stage.total_ns) / 1000.0);
-    w.key("mean_us");
-    w.value(stage.mean_ns() / 1000.0);
-    w.key("p50_us");
-    w.value(stage.latency_ns.quantile(0.50) / 1000.0);
-    w.key("p99_us");
-    w.value(stage.latency_ns.quantile(0.99) / 1000.0);
-    w.key("max_us");
-    w.value(static_cast<double>(stage.max_ns) / 1000.0);
+    w.member("count", stage.count);
+    w.member("total_us", static_cast<double>(stage.total_ns) / 1000.0);
+    w.member("mean_us", stage.mean_ns() / 1000.0);
+    w.member("p50_us", stage.latency_ns.quantile(0.50) / 1000.0);
+    w.member("p99_us", stage.latency_ns.quantile(0.99) / 1000.0);
+    w.member("max_us", static_cast<double>(stage.max_ns) / 1000.0);
     w.end_object();
   }
   w.end_object();
   w.key("counters");
   w.begin_object();
   for (std::size_t c = 0; c < trace::kCounterCount; ++c) {
-    w.key(trace::counter_name(static_cast<trace::Counter>(c)));
-    w.value(snap.counters[c]);
+    w.member(trace::counter_name(static_cast<trace::Counter>(c)),
+             snap.counters[c]);
   }
   w.end_object();
 }
@@ -929,7 +835,13 @@ Router::Router(RouterConfig config, const Metrics& metrics,
       sessions_(online::RegistryConfig{config.max_sessions}) {}
 
 HandleOutcome Router::handle(std::string_view line) const {
-  JsonValue request;
+  // One document per thread: parsing into it again reuses its buffers,
+  // so a steady-state parse allocates nothing.  A line over 64 KiB gets a
+  // document of its own, freed on return, so no worker keeps the buffers
+  // of a hostile 1 MiB line.
+  thread_local JsonValue reused;
+  JsonValue one_off;
+  JsonValue& request = line.size() <= 64 * 1024 ? reused : one_off;
   std::string parse_error;
   if (!json_parse(line, request, parse_error)) {
     return {error_reply("parse: " + parse_error), Endpoint::kMalformed, true};
@@ -943,7 +855,7 @@ HandleOutcome Router::handle(std::string_view line) const {
     return {error_reply("missing string field 'op'"), Endpoint::kMalformed,
             true};
   }
-  const std::string& op = op_field->as_string();
+  const std::string_view op = op_field->as_string();
   const JsonValue* id = request.find("id");
 
   Endpoint endpoint;
@@ -966,24 +878,19 @@ HandleOutcome Router::handle(std::string_view line) const {
   } else if (op == "metrics") {
     endpoint = Endpoint::kMetrics;
   } else {
-    return {error_reply("unknown op '" + op + "'"), Endpoint::kMalformed, true};
+    return {error_reply("unknown op '" + std::string(op) + "'"),
+            Endpoint::kMalformed, true};
   }
 
   const auto fail = [&](const std::string& message) {
     JsonWriter w;
     w.begin_object();
-    w.key("ok");
-    w.value(false);
-    w.key("op");
-    w.value(op);
-    if (id != nullptr) {
-      w.key("id");
-      w.value(*id);
-    }
-    w.key("error");
-    w.value(message);
+    w.member("ok", false);
+    w.member("op", op);
+    if (id != nullptr) w.member("id", *id);
+    w.member("error", message);
     w.end_object();
-    return HandleOutcome{w.str(), endpoint, true};
+    return HandleOutcome{w.take(), endpoint, true};
   };
 
   try {
@@ -1017,20 +924,13 @@ HandleOutcome Router::handle(std::string_view line) const {
       case Endpoint::kStats: {
         if (runtime_) {
           const RuntimeStats runtime = runtime_();
-          w.key("uptime_seconds");
-          w.value(runtime.uptime_seconds);
-          w.key("workers");
-          w.value(runtime.workers);
-          w.key("connections_accepted");
-          w.value(runtime.connections_accepted);
-          w.key("connections_active");
-          w.value(runtime.connections_active);
-          w.key("requests_shed");
-          w.value(runtime.requests_shed);
-          w.key("batches_dispatched");
-          w.value(runtime.batches_dispatched);
-          w.key("in_flight");
-          w.value(runtime.in_flight);
+          w.member("uptime_seconds", runtime.uptime_seconds);
+          w.member("workers", runtime.workers);
+          w.member("connections_accepted", runtime.connections_accepted);
+          w.member("connections_active", runtime.connections_active);
+          w.member("requests_shed", runtime.requests_shed);
+          w.member("batches_dispatched", runtime.batches_dispatched);
+          w.member("in_flight", runtime.in_flight);
           write_overload_stats(w, runtime);
         }
         // Online sessions: one aggregate block (lifetime counters fold
@@ -1041,32 +941,24 @@ HandleOutcome Router::handle(std::string_view line) const {
           const online::RegistryTotals totals = sessions_.totals();
           w.key("sessions");
           w.begin_object();
-          w.key("open");
-          w.value(rows.size());
-          w.key("resident_tasks");
-          w.value(totals.resident_tasks);
-          w.key("admits");
-          w.value(totals.admits_total);
-          w.key("rejects");
-          w.value(totals.rejects_total);
-          w.key("departs");
-          w.value(totals.departs_total);
-          w.key("migrations");
-          w.value(totals.migrations_total);
+          w.member("open", rows.size());
+          w.member("resident_tasks", totals.resident_tasks);
+          w.member("admits", totals.admits_total);
+          w.member("rejects", totals.rejects_total);
+          w.member("departs", totals.departs_total);
+          w.member("migrations", totals.migrations_total);
           w.key("per_session");
           w.begin_array();
           for (const auto& [sid, stats] : rows) {
             w.begin_object();
-            w.key("session");
-            w.value(sid);
+            w.member("session", sid);
             write_session_stats(w, stats);
             w.end_object();
           }
           w.end_array();
           w.end_object();
         }
-        w.key("requests_total");
-        w.value(metrics_.total_requests());
+        w.member("requests_total", metrics_.total_requests());
         w.key("endpoints");
         w.begin_object();
         for (std::size_t e = 0; e < kEndpointCount; ++e) {
@@ -1077,16 +969,14 @@ HandleOutcome Router::handle(std::string_view line) const {
         break;
       }
       case Endpoint::kMetrics: {
-        w.key("content_type");
-        w.value("text/plain; version=0.0.4");
-        w.key("text");
-        w.value(metrics_exposition());
+        w.member("content_type", "text/plain; version=0.0.4");
+        w.member("text", metrics_exposition());
         break;
       }
       case Endpoint::kMalformed: break;  // unreachable
     }
     w.end_object();
-    return {w.str(), endpoint, false};
+    return {w.take(), endpoint, false};
   } catch (const ProtocolError& error) {
     return fail(error.message);
   } catch (const Error& error) {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_set>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -11,10 +11,27 @@ namespace rmts {
 
 namespace {
 
+/// Index of the first task (in input order) whose id an earlier task
+/// already has, or tasks.size() when the ids are distinct.  One sorted
+/// (id, index) vector instead of a hash-set node per task.
+std::size_t first_duplicate(const std::vector<Task>& tasks) {
+  std::vector<std::pair<TaskId, std::size_t>> ids;
+  ids.reserve(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) ids.emplace_back(tasks[i].id, i);
+  std::sort(ids.begin(), ids.end());
+  std::size_t first = tasks.size();
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    if (ids[i].first == ids[i - 1].first) first = std::min(first, ids[i].second);
+  }
+  return first;
+}
+
+/// Throws for the first offending task in input order, checking each
+/// task's fields before whether its id repeats an earlier one.
 void validate(const std::vector<Task>& tasks) {
-  std::unordered_set<TaskId> seen;
-  seen.reserve(tasks.size());
-  for (const Task& task : tasks) {
+  const std::size_t duplicate = first_duplicate(tasks);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const Task& task = tasks[i];
     if (task.period <= 0) {
       throw InvalidTaskError("task " + std::to_string(task.id) +
                              ": period must be positive");
@@ -27,7 +44,7 @@ void validate(const std::vector<Task>& tasks) {
       throw InvalidTaskError("task " + std::to_string(task.id) +
                              ": wcet exceeds period (U > 1)");
     }
-    if (!seen.insert(task.id).second) {
+    if (i == duplicate) {
       throw InvalidTaskError("duplicate task id " + std::to_string(task.id));
     }
   }

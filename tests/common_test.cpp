@@ -171,7 +171,10 @@ TEST(Table, NumFormatting) {
 
 TEST(JsonEscape, PassesPlainTextThrough) {
   EXPECT_EQ(json_escape("hello world 123"), "hello world 123");
-  EXPECT_EQ(json_quote("x"), "\"x\"");
+  // The appending form escapes after whatever the buffer already holds.
+  std::string out = "k:";
+  json_escape_append(out, "a\"b");
+  EXPECT_EQ(out, "k:a\\\"b");
 }
 
 TEST(JsonEscape, EscapesQuotesAndBackslashes) {

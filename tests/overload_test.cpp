@@ -294,6 +294,82 @@ TEST(OverloadReplies, RoundTripThroughParserAndClientHelper) {
   EXPECT_EQ(Client::parse_retry_after_ms(R"({"ok":true})"), 0);
 }
 
+TEST(OverloadReplies, RetryHintIsReadFromTheTopLevelOnly) {
+  // A nested retry_after_ms, or one inside a string, is not the hint.
+  EXPECT_EQ(Client::parse_retry_after_ms(
+                R"({"ok":false,"error":"overloaded","detail":{"retry_after_ms":9000},"retry_after_ms":20})"),
+            20);
+  EXPECT_EQ(Client::parse_retry_after_ms(
+                R"({"ok":false,"note":"\"retry_after_ms\":9000","error":"overloaded","retry_after_ms":20})"),
+            20);
+  // A shed without a top-level hint backs off by the client's own term.
+  EXPECT_EQ(Client::parse_retry_after_ms(
+                R"({"ok":false,"error":"overloaded","detail":{"retry_after_ms":9000}})"),
+            1);
+  // "overloaded" only counts as the top-level error.
+  EXPECT_EQ(Client::parse_retry_after_ms(
+                R"({"ok":true,"detail":{"error":"overloaded","retry_after_ms":9000}})"),
+            0);
+  EXPECT_EQ(Client::parse_retry_after_ms(
+                R"({"ok":true,"reason":"\"error\":\"overloaded\""})"),
+            0);
+  // A key that merely contains the name, quote included, is not it either.
+  EXPECT_EQ(Client::parse_retry_after_ms(
+                R"({"ok":false,"error":"overloaded","\"retry_after_ms":9000,"retry_after_ms":20})"),
+            20);
+  EXPECT_EQ(Client::parse_retry_after_ms(R"({"ok":true,"\"error":"overloaded"})"), 0);
+  EXPECT_EQ(Client::parse_retry_after_ms("not json"), 0);
+  EXPECT_EQ(Client::parse_retry_after_ms(
+                R"({"ok":false,"error":"overloaded","retry_after_ms":99999999999})"),
+            1'000'000);
+}
+
+TEST(OverloadReplies, ReplyUintFieldIsReadFromTheTopLevelOnly) {
+  EXPECT_EQ(reply_uint_field(R"({"ok":true,"op":"session_open","session":12})",
+                             "session"),
+            12u);
+  EXPECT_EQ(reply_uint_field(
+                R"({"ok":true,"detail":{"ticket":9000},"reason":"\"ticket\":8000","ticket":20})",
+                "ticket"),
+            20u);
+  EXPECT_EQ(reply_uint_field(R"({"ok":true,"detail":{"ticket":9000}})", "ticket"),
+            0u);
+  EXPECT_EQ(reply_uint_field(R"({"ok":true,"reason":"\"ticket\":8000"})", "ticket"),
+            0u);
+  EXPECT_EQ(reply_uint_field(R"({"\"ticket":8000,"ticket":20})", "ticket"), 20u);
+  EXPECT_EQ(reply_uint_field(R"({"ticket":"7"})", "ticket"), 0u);
+  EXPECT_EQ(reply_uint_field("garbage", "ticket"), 0u);
+}
+
+TEST(RetryBackoff, ServerHintIsAFloorTheCapNeverTruncates) {
+  const RetryPolicy policy{4, 10, 50, 0.3};
+  Rng rng(7);
+  for (int retry = 1; retry <= 6; ++retry) {
+    // The client's own term stays within the cap (plus jitter) ...
+    const std::int64_t own = retry_backoff_ms(policy, retry, 0, rng);
+    EXPECT_GE(own, 1);
+    EXPECT_LE(own, 65);  // 50 * (1 + 0.3)
+    // ... but a larger server hint is honoured in full.
+    EXPECT_EQ(retry_backoff_ms(policy, retry, 5000, rng), 5000);
+  }
+}
+
+TEST(RetryBackoff, GrowsExponentiallyAndClampsJitter) {
+  RetryPolicy policy{8, 10, 2000, 0.0};
+  Rng rng(1);
+  EXPECT_EQ(retry_backoff_ms(policy, 1, 0, rng), 10);
+  EXPECT_EQ(retry_backoff_ms(policy, 2, 0, rng), 20);
+  EXPECT_EQ(retry_backoff_ms(policy, 4, 0, rng), 80);
+  EXPECT_EQ(retry_backoff_ms(policy, 20, 0, rng), 2000);
+  // Jitter beyond 1 would allow negative waits; it is clamped to [0, 1].
+  policy.jitter = 5.0;
+  for (int i = 0; i < 100; ++i) {
+    const std::int64_t backoff = retry_backoff_ms(policy, 1, 0, rng);
+    EXPECT_GE(backoff, 1);
+    EXPECT_LE(backoff, 20);
+  }
+}
+
 // ------------------------------------------------------- live server  --
 
 /// Runs a Server on a background thread for one test.
@@ -540,7 +616,7 @@ TEST(OverloadLive, StatsExposesBudgetsAndMetricsExportsThem) {
 
   const JsonValue metrics = parse_ok(client.request(make_metrics_request()));
   ASSERT_TRUE(metrics.find("ok")->as_bool());
-  const std::string& text = metrics.find("text")->as_string();
+  const std::string text(metrics.find("text")->as_string());
   for (const char* needle :
        {"rmts_class_budget{class=\"admit\"}", "rmts_class_shed_total",
         "rmts_class_expired_total", "rmts_requests_expired_total",

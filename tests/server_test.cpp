@@ -9,6 +9,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "bounds/harmonic.hpp"
+#include "common/rng.hpp"
+#include "json_oracle.hpp"
 #include "partition/rmts.hpp"
 #include "server/client.hpp"
 #include "server/json.hpp"
@@ -94,6 +97,61 @@ TEST(JsonParser, IntDetectionIsLossless) {
   EXPECT_FALSE(doc.find("e")->is_int());  // exponent present
 }
 
+TEST(JsonParser, AgreesWithTheDomOracleOnCornerCases) {
+  for (const char* text : {
+           "", " ", "{}", "[]", "[[]]", "{\"a\":{}}", " {\"a\" : [ 1 , 2 ] } ",
+           "0", "-0", "-", "01", "1.", ".5", "1e", "1e+", "1E-2", "-1.5e+300",
+           "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+           "-9223372036854775809", "9999999999999999999",
+           "-9999999999999999999", "18446744073709551616", "1e400", "-1e400", "1e-400", "4.9e-324",
+           "true", "tru", "false", "null", "nulll", "[1,]", "[,1]", "{,}",
+           "{\"a\"}", "{\"a\":}", "{\"a\":1,}", "{\"a\":1 \"b\":2}", "{1:2}",
+           "\"\\u00e9\\ud83d\\ude00\"", "\"\\ud83d\"", "\"\\ude00\"",
+           "\"\\ud83d\\u0041\"", "\"\\u12\"", "\"\\u12g4\"", "\"\\x\"",
+           "\"a\tb\"", "\"unterminated", "\"esc\\", "[1]x", "{\"a\":1}{",
+           "{\"k\":1,\"k\":2}", "[\"\\\"\\\\\\/\\b\\f\\n\\r\\t\"]"}) {
+    EXPECT_EQ(json_oracle::diff_parsers(text), "") << text;
+  }
+  std::string deep;
+  for (int depth = 60; depth <= 70; ++depth) {
+    deep.assign(static_cast<std::size_t>(depth), '[');
+    EXPECT_EQ(json_oracle::diff_parsers(deep + std::string(deep.size(), ']')), "")
+        << depth;
+    EXPECT_EQ(json_oracle::diff_parsers(deep + "1" + std::string(deep.size(), ']')),
+              "")
+        << depth;
+  }
+}
+
+TEST(JsonParser, DocumentOwnsItsCopyOfTheInput) {
+  JsonValue doc;
+  std::string error;
+  {
+    std::string line = R"({"op":"admit","tasks":[[1,4]],"s":"a\n"})";
+    ASSERT_TRUE(json_parse(line, doc, error)) << error;
+    line.assign(line.size(), 'x');  // clobber, then free, the input
+  }
+  EXPECT_EQ(doc.find("op")->as_string(), "admit");
+  EXPECT_EQ(doc.find("tasks")->items()[0].items()[1].as_int(), 4);
+  EXPECT_EQ(doc.find("s")->as_string(), "a\n");
+}
+
+TEST(JsonParser, MovesKeepTheDocumentAndReparseReplacesIt) {
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(R"({"a":[1,{"b":"x"}]})", doc, error)) << error;
+  const JsonValue moved = std::move(doc);
+  ASSERT_TRUE(json_parse(R"([true])", doc, error)) << error;
+  EXPECT_TRUE(doc.is_array());
+  EXPECT_EQ(doc.find("a"), nullptr);
+  EXPECT_TRUE(doc.items()[0].as_bool());
+  ASSERT_TRUE(moved.is_object());
+  EXPECT_EQ(moved.find("a")->items()[1].find("b")->as_string(), "x");
+  EXPECT_FALSE(json_parse("[1,", doc, error));
+  EXPECT_TRUE(doc.is_null());
+  EXPECT_NE(error.find("offset 3"), std::string::npos) << error;
+}
+
 TEST(JsonWriter, RendersDocumentsWithEscaping) {
   JsonWriter w;
   w.begin_object();
@@ -116,6 +174,30 @@ TEST(JsonWriter, NonFiniteNumbersRenderAsNull) {
   // Round-trip: what the writer emits, the parser reads back exactly.
   const JsonValue doc = parse_ok("{\"x\":" + json_number(0.1) + "}");
   EXPECT_DOUBLE_EQ(doc.find("x")->as_double(), 0.1);
+}
+
+TEST(JsonWriter, NumbersAreShortestAndRoundTripOverRandomBitPatterns) {
+  EXPECT_EQ(json_number(0.1), "0.1");
+  EXPECT_EQ(json_number(0.3), "0.3");
+  EXPECT_EQ(json_number(-2.5), "-2.5");
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.3333333333333333");
+  Rng rng(2024);
+  JsonValue doc;
+  std::string error;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng.next();
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof x);
+    if (!std::isfinite(x)) continue;
+    const std::string text = json_number(x);
+    ASSERT_EQ(std::strtod(text.c_str(), nullptr), x) << text;
+    ASSERT_TRUE(json_parse(text, doc, error)) << text << " -- " << error;
+    ASSERT_EQ(doc.as_double(), x) << text;
+    // Never longer than the 17 significant digits that always round-trip.
+    char longest[32];
+    std::snprintf(longest, sizeof longest, "%.17g", x);
+    ASSERT_LE(text.size(), std::strlen(longest)) << text;
+  }
 }
 
 // ------------------------------------------------------------- framing --
@@ -176,6 +258,20 @@ TEST_F(RouterTest, AdmitAgreesWithDirectLibraryCall) {
   const Assignment direct = rmts.partition(tasks, 2);
   EXPECT_EQ(reply.find("accepted")->as_bool(), direct.success);
   EXPECT_EQ(reply.find("op")->as_string(), "admit");
+}
+
+TEST_F(RouterTest, AdmitReportsTheBoundRmtsGuarantees) {
+  for (const auto& pairs : std::vector<std::vector<std::pair<Time, Time>>>{
+           {{1, 4}, {1, 5}, {2, 10}, {3, 20}},
+           {{1, 3}, {2, 7}, {3, 11}, {4, 13}, {1, 17}},
+           {{3, 4}, {4, 5}, {9, 10}}}) {
+    const TaskSet tasks = TaskSet::from_pairs(pairs);
+    const JsonValue reply = handle(make_admit_request(2, tasks));
+    ASSERT_NE(reply.find("guaranteed_bound"), nullptr);
+    const Rmts rmts(std::make_shared<HarmonicChainBound>());
+    EXPECT_EQ(reply.find("guaranteed_bound")->as_double(),
+              rmts.guaranteed_bound(tasks));
+  }
 }
 
 TEST_F(RouterTest, AdmitBatchMatchesPerItemAdmitReplies) {

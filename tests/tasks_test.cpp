@@ -51,6 +51,35 @@ TEST(TaskSet, RejectsDuplicateIds) {
   EXPECT_THROW(TaskSet({Task{1, 10, 7}, Task{1, 20, 7}}), InvalidTaskError);
 }
 
+TEST(TaskSet, RejectsDuplicateIdsThatTheRmSortSeparates) {
+  // Periods 10 < 20 < 30 put id 1 between the two 7s after the sort.
+  try {
+    const TaskSet set({Task{1, 10, 7}, Task{1, 30, 7}, Task{1, 20, 1}});
+    FAIL() << "duplicate id accepted";
+  } catch (const InvalidTaskError& error) {
+    EXPECT_STREQ(error.what(), "duplicate task id 7");
+  }
+}
+
+TEST(TaskSet, ReportsTheFirstOffenceInInputOrder) {
+  // The first repeat in input order is id 5 (index 2), before id 3's
+  // (index 3), although 3 < 5.
+  try {
+    const TaskSet set({Task{1, 10, 5}, Task{1, 20, 3}, Task{1, 30, 5},
+                       Task{1, 40, 3}});
+    FAIL() << "duplicate id accepted";
+  } catch (const InvalidTaskError& error) {
+    EXPECT_STREQ(error.what(), "duplicate task id 5");
+  }
+  // A task's own fields are checked before whether its id repeats.
+  try {
+    const TaskSet set({Task{1, 10, 4}, Task{1, 0, 4}});
+    FAIL() << "invalid task accepted";
+  } catch (const InvalidTaskError& error) {
+    EXPECT_STREQ(error.what(), "task 4: period must be positive");
+  }
+}
+
 TEST(TaskSet, UtilizationAggregates) {
   const TaskSet set = TaskSet::from_pairs({{25, 100}, {50, 100}});
   EXPECT_DOUBLE_EQ(set.total_utilization(), 0.75);

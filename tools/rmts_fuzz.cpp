@@ -18,6 +18,7 @@
 //
 //   rmts_fuzz [seconds=10] [seed=1]
 //   rmts_fuzz proto [seconds=10] [seed=1]
+//   rmts_fuzz json [seconds=10] [seed=1]
 //   rmts_fuzz kernel [seconds=10] [seed=1]
 //   rmts_fuzz churn [seconds=10] [seed=1]
 //
@@ -26,7 +27,15 @@
 // the in-process LineDecoder + Router pipeline (no sockets), asserting
 // that nothing crashes, decoder memory stays under its cap, and every
 // reply -- including those for garbage -- is a well-formed one-line JSON
-// object carrying "ok" and, on failure, a non-empty "error".
+// object carrying "ok" and, on failure, a non-empty "error".  Every
+// request line and reply also goes through the JSON differential below.
+//
+// The `json` mode is the codec's differential fuzz on its own: random
+// documents (deep nesting, int64-edge and out-of-range numbers, escapes
+// and surrogates, duplicate keys), their byte mutations and truncations,
+// raw bytes and protocol lines are parsed by the server's tape parser and
+// by the DOM parser it replaced (tests/json_oracle.hpp), which must agree
+// on accept/reject, the error message and every value.
 //
 // The `churn` mode drives random admit/depart/rebalance interleavings
 // through an online PartitionSession (src/online) and checks, after every
@@ -70,6 +79,7 @@
 #include "common/checked_math.hpp"
 #include "common/rng.hpp"
 #include "io/taskset_io.hpp"
+#include "json_oracle.hpp"
 #include "online/session.hpp"
 #include "partition/baselines.hpp"
 #include "partition/edf_split.hpp"
@@ -143,6 +153,204 @@ bool counters_equal(const SimResult& a, const SimResult& b) {
          a.degraded_per_task == b.degraded_per_task &&
          a.jobs_aborted == b.jobs_aborted && a.jobs_demoted == b.jobs_demoted &&
          a.subtasks_orphaned == b.subtasks_orphaned;
+}
+
+// ------------------------------------------------- JSON differential ----
+
+/// Appends a random JSON number token: small ints, int64 edges and
+/// beyond, fractions, exponents (some out of double range), -0.
+void random_json_number(Rng& rng, std::string& out) {
+  static const char* const kEdges[] = {
+      "0", "-0", "9223372036854775807", "9223372036854775808",
+      "-9223372036854775808", "-9223372036854775809",
+      "9999999999999999999", "-9999999999999999999", "18446744073709551615",
+      "18446744073709551616", "1e308", "1.7976931348623157e308", "1e309",
+      "-1e400", "4.9e-324", "2e-324", "1e-400", "0.1", "2.2250738585072014e-308",
+      "123456789012345678901234567890", "0.30000000000000004"};
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      out += kEdges[rng.uniform_int(0, std::size(kEdges) - 1)];
+      return;
+    case 1: out += std::to_string(rng.uniform_int(-1000, 1000)); return;
+    case 2:
+      out += std::to_string(static_cast<std::int64_t>(rng.next()));
+      return;
+    default: {
+      if (rng.uniform() < 0.3) out.push_back('-');
+      out += std::to_string(rng.uniform_int(0, 99999));
+      if (rng.uniform() < 0.6) {
+        out.push_back('.');
+        out += std::to_string(rng.uniform_int(0, 999999));
+      }
+      if (rng.uniform() < 0.5) {
+        out.push_back(rng.uniform() < 0.5 ? 'e' : 'E');
+        if (rng.uniform() < 0.5) out.push_back(rng.uniform() < 0.5 ? '-' : '+');
+        out += std::to_string(rng.uniform_int(0, 400));
+      }
+    }
+  }
+}
+
+/// Appends a random JSON string literal: plain ASCII, UTF-8, every
+/// short escape, \u escapes including valid and broken surrogates.
+void random_json_string(Rng& rng, std::string& out) {
+  static const char* const kPieces[] = {
+      "a", "op", "tasks", " ", "\xc3\xa9", "\xf0\x9f\x98\x80", "\\\"",
+      "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t", "\\u0041",
+      "\\u00e9", "\\u20AC", "\\u0000", "\\ud83d\\ude00", "\\uD800",
+      "\\udc00", "\\ud83dx", "\\ud83d\\u0041"};
+  out.push_back('"');
+  const auto pieces = rng.uniform_int(0, 6);
+  for (std::int64_t i = 0; i < pieces; ++i) {
+    out += kPieces[rng.uniform_int(0, std::size(kPieces) - 1)];
+  }
+  out.push_back('"');
+}
+
+void random_json_space(Rng& rng, std::string& out) {
+  if (rng.uniform() < 0.8) return;
+  static constexpr char kSpace[] = {' ', '\t', '\n', '\r'};
+  out.push_back(kSpace[rng.uniform_int(0, 3)]);
+}
+
+/// Appends a random JSON value; containers shrink with depth, except
+/// that now and then a deep chain straddles the parsers' nesting cap.
+void random_json_value(Rng& rng, std::string& out, int depth) {
+  if (depth == 0 && rng.uniform() < 0.05) {
+    const auto levels = rng.uniform_int(60, 70);
+    for (std::int64_t i = 0; i < levels; ++i) out += rng.uniform() < 0.5 ? "[" : "{\"k\":";
+    random_json_value(rng, out, 99);
+    for (std::size_t i = out.size(); i-- > 0;) {
+      if (out[i] == '[') out.push_back(']');
+      if (out[i] == '{') out.push_back('}');
+    }
+    return;
+  }
+  const int roll = static_cast<int>(rng.uniform_int(0, depth >= 4 ? 5 : 7));
+  random_json_space(rng, out);
+  switch (roll) {
+    case 0: out += "null"; break;
+    case 1: out += rng.uniform() < 0.5 ? "true" : "false"; break;
+    case 2:
+    case 3: random_json_number(rng, out); break;
+    case 4:
+    case 5: random_json_string(rng, out); break;
+    case 6: {
+      out.push_back('[');
+      const auto n = rng.uniform_int(0, 5);
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (i > 0) out.push_back(',');
+        random_json_value(rng, out, depth + 1);
+      }
+      random_json_space(rng, out);
+      out.push_back(']');
+      break;
+    }
+    default: {
+      out.push_back('{');
+      const auto n = rng.uniform_int(0, 5);
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (i > 0) out.push_back(',');
+        random_json_space(rng, out);
+        // A small key alphabet makes duplicate keys common.
+        if (rng.uniform() < 0.7) {
+          out += "\"k" + std::to_string(rng.uniform_int(0, 3)) + "\"";
+        } else {
+          random_json_string(rng, out);
+        }
+        random_json_space(rng, out);
+        out.push_back(':');
+        random_json_value(rng, out, depth + 1);
+      }
+      random_json_space(rng, out);
+      out.push_back('}');
+    }
+  }
+  random_json_space(rng, out);
+}
+
+/// Flips, inserts or deletes a few bytes, favouring the grammar's
+/// structural characters, or truncates.
+void mutate_json(Rng& rng, std::string& text) {
+  static constexpr std::string_view kSignificant = "{}[]\":,\\u0123456789eE+-.tfn \t";
+  const auto edits = rng.uniform_int(1, 4);
+  for (std::int64_t e = 0; e < edits; ++e) {
+    const auto at = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(text.size())));
+    const char c = rng.uniform() < 0.7
+                       ? kSignificant[static_cast<std::size_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(kSignificant.size()) - 1))]
+                       : static_cast<char>(rng.uniform_int(0, 255));
+    switch (rng.uniform_int(0, 3)) {
+      case 0: if (at < text.size()) text[at] = c; break;
+      case 1: text.insert(text.begin() + static_cast<std::ptrdiff_t>(at), c); break;
+      case 2: if (at < text.size()) text.erase(at, 1); break;
+      default: text.resize(at); break;
+    }
+  }
+}
+
+/// Differential JSON fuzz (see the file comment).  Returns the number of
+/// mismatches found.
+std::uint64_t json_fuzz(double seconds, std::uint64_t seed) {
+  Rng pool_rng(seed);
+  std::vector<std::string> protocol;
+  for (std::size_t i = 0; i < 8; ++i) {
+    Rng sample = pool_rng.fork(i);
+    WorkloadConfig config;
+    config.tasks = 16;
+    config.processors = 4;
+    config.normalized_utilization = 0.6;
+    protocol.push_back(server::make_admit_request(4, generate(sample, config)));
+  }
+  protocol.push_back(server::make_session_open_request(8));
+  protocol.push_back(server::make_stats_request());
+
+  Rng rng(seed ^ 0x6a736f6eULL);  // "json"
+  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t documents = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t mismatches = 0;
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+             .count() < seconds) {
+    Rng sample = rng.fork(documents++);
+    std::string text;
+    switch (sample.uniform_int(0, 5)) {
+      case 0: {  // raw bytes
+        const auto n = sample.uniform_int(0, 64);
+        for (std::int64_t i = 0; i < n; ++i) {
+          text.push_back(static_cast<char>(sample.uniform_int(0, 255)));
+        }
+        break;
+      }
+      case 1:  // a protocol line, mutated half the time
+        text = protocol[static_cast<std::size_t>(sample.uniform_int(
+            0, static_cast<std::int64_t>(protocol.size()) - 1))];
+        if (sample.uniform() < 0.5) mutate_json(sample, text);
+        break;
+      case 2:
+      case 3:  // a random document
+        random_json_value(sample, text, 0);
+        break;
+      default:  // a mutated random document
+        random_json_value(sample, text, 0);
+        mutate_json(sample, text);
+    }
+    const std::string diff = json_oracle::diff_parsers(text);
+    if (!diff.empty()) {
+      ++mismatches;
+      std::cerr << "JSON MISMATCH: " << diff << "\n  repro: seed " << seed
+                << ", document " << documents - 1 << "\n  text: " << text
+                << '\n';
+    }
+    server::JsonValue value;
+    std::string error;
+    if (server::json_parse(text, value, error)) ++accepted;
+  }
+  std::cout << "rmts_fuzz json: " << documents << " documents (" << accepted
+            << " accepted), " << mismatches << " mismatches (seed " << seed
+            << ")\n";
+  return mismatches;
 }
 
 /// In-process protocol fuzz: random byte streams through the service
@@ -264,6 +472,13 @@ std::uint64_t proto_fuzz(double seconds, std::uint64_t seed) {
         const server::HandleOutcome outcome =
             line.oversized ? router.oversized_line() : router.handle(line.text);
         if (line.oversized) ++oversized;
+        for (const std::string_view text : {std::string_view(line.text),
+                                            std::string_view(outcome.reply)}) {
+          const std::string diff = json_oracle::diff_parsers(text);
+          if (!diff.empty()) {
+            fail("tape parser disagrees with the oracle: " + diff, std::string(text));
+          }
+        }
 
         // Every reply, for any input, must be one well-formed JSON object
         // with a bool "ok"; failures must carry a non-empty "error".
@@ -756,6 +971,12 @@ int main(int argc, char** argv) {
     const std::uint64_t churn_seed =
         argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
     return churn_fuzz(churn_seconds, churn_seed) == 0 ? 0 : 1;
+  }
+  if (argc > 1 && std::string(argv[1]) == "json") {
+    const double json_seconds = argc > 2 ? std::atof(argv[2]) : 10.0;
+    const std::uint64_t json_seed =
+        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
+    return json_fuzz(json_seconds, json_seed) == 0 ? 0 : 1;
   }
   if (argc > 1 && std::string(argv[1]) == "proto") {
     const double proto_seconds = argc > 2 ? std::atof(argv[2]) : 10.0;
