@@ -70,19 +70,23 @@ void BM_Rta_ResponseTime(benchmark::State& state) {
 }
 BENCHMARK(BM_Rta_ResponseTime)->Arg(2)->Arg(8)->Arg(32);
 
+/// A top-priority split prototype of the given period and half that wcet.
+/// Period 1000 against hosted deadlines up to 1e6 is the ~1000-arrival
+/// shape that dominates near-breakdown RM-TS runs.
 void BM_MaxSplit(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto method = state.range(1) == 0 ? MaxSplitMethod::kBinarySearch
                                           : MaxSplitMethod::kSchedulingPoints;
+  const Time period = state.range(2);
   const ProcessorState processor = hosted_processor(count);
-  const Subtask candidate{0, 999, 0, 400000, 800000, 800000, SubtaskKind::kWhole};
+  const Subtask candidate{0, 999, 0, period / 2, period, period, SubtaskKind::kWhole};
   for (auto _ : state) {
     benchmark::DoNotOptimize(max_admissible_wcet(processor, candidate, method));
   }
 }
 BENCHMARK(BM_MaxSplit)
-    ->ArgsProduct({{2, 8, 32}, {0, 1}})
-    ->ArgNames({"hosted", "points"});
+    ->ArgsProduct({{2, 8, 32}, {0, 1}, {800000, 1000}})
+    ->ArgNames({"hosted", "points", "period"});
 
 /// Worst-fit style admission scan: many fits() probes against a fixed
 /// hosted set, the hot loop of the P-RM baselines' pick_bin and of the

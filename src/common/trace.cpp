@@ -25,6 +25,7 @@ std::string_view stage_name(Stage stage) noexcept {
     case Stage::kPartitionDedicate: return "partition_dedicate";
     case Stage::kPartitionPreassign: return "partition_preassign";
     case Stage::kPartitionPlace: return "partition_place";
+    case Stage::kPartitionSplit: return "partition_split";
     case Stage::kSimRun: return "sim_run";
   }
   return "unknown";

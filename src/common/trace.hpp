@@ -64,10 +64,11 @@ enum class Stage : std::uint8_t {
   kPartitionDedicate,
   kPartitionPreassign,
   kPartitionPlace,
+  kPartitionSplit,  ///< one MaxSplit call: assign_or_split, PartitionSession
   // Simulator (src/sim/simulator.cpp).
   kSimRun,
 };
-inline constexpr std::size_t kStageCount = 17;
+inline constexpr std::size_t kStageCount = 18;
 
 /// Monotonic named counters.
 enum class Counter : std::uint8_t {
@@ -134,8 +135,8 @@ inline constexpr std::uint64_t kSampleEvery = 16;
 
 namespace detail {
 
-/// One stage's exact aggregates, padded to a cache line so the 16-stage
-/// hot block is 1 KB and stays resident across requests.
+/// One stage's exact aggregates, padded to a cache line so the hot block
+/// (64 B per stage) stays resident across requests.
 struct alignas(64) StageCell {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> total_ns{0};

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/trace.hpp"
 #include "partition/splitting.hpp"
 #include "rta/rta.hpp"
 
@@ -155,8 +156,12 @@ AdmitResult PartitionSession::admit(Time wcet, Time period) {
     if (!hosted.empty() && hosted.front().priority < candidate.priority) {
       continue;
     }
-    Time prefix =
-        max_admissible_wcet(processors_[q], candidate, config_.split_method);
+    Time prefix = 0;
+    {
+      const trace::Span span(trace::Stage::kPartitionSplit);
+      prefix =
+          max_admissible_wcet(processors_[q], candidate, config_.split_method);
+    }
     assert(prefix < candidate.wcet);  // full fit was rejected above
     prefix -= prefix % config_.split_granularity;
     if (prefix <= 0) continue;

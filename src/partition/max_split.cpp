@@ -1,9 +1,8 @@
 #include "partition/max_split.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
-
-#include "rta/rta.hpp"
 
 namespace rmts {
 
@@ -30,54 +29,85 @@ Time max_wcet_binary(const ProcessorState& processor, const Subtask& prototype) 
   return lo;
 }
 
-/// Largest own execution budget of the candidate: max over its testing set
-/// of (t - higher-priority interference).  Candidate-deadline dependent,
-/// so not served from the hosted cache; the scratch point buffer persists
-/// across MaxSplit's per-processor search calls instead (one thread's
-/// partitioning run reuses its capacity allocation-free).
-Time max_self_budget(std::span<const Subtask> higher, Time deadline) {
-  thread_local std::vector<Time> points;
-  scheduling_points(deadline, higher, points);
-  Time best = 0;
-  for (const Time t : points) {
-    const auto demand = interference_at(t, higher);
-    if (!demand || *demand >= t) continue;  // overflowed demand never fits
-    best = std::max(best, t - *demand);
-  }
-  return best;
-}
+/// One hosted higher-priority arrival sequence in the merge sweep.
+struct Arrivals {
+  Time next;  ///< next release; kTimeInfinity once unrepresentable
+  Time period;
+  Time wcet;
+};
 
-/// Largest candidate wcet that keeps the hosted subtask at `index` (wcet,
-/// deadline, interfered by the hosted prefix) schedulable when the
-/// candidate interferes with period `candidate_period`:
-///   max over testing points t of floor((t - W(t)) / ceil(t / T_c)),
-/// where W(t) is the demand without the candidate.  The hosted part of the
-/// testing set and its W(t) come memoized from the processor; only the
-/// candidate's own arrival multiples (where the optimum of the piecewise
-/// expression can also sit) are evaluated fresh.
-Time max_extra_interference(const ProcessorState& processor, std::size_t index,
-                            Time candidate_period) {
-  const Subtask& hosted = processor.subtasks()[index];
-  const ProcessorState::TestingSet& set = processor.testing_set(index);
+/// Largest c in [0, cap] such that a job (wcet, deadline) interfered by
+/// `higher` plus a candidate releasing c every `candidate_period` ticks
+/// meets its deadline:
+///   max over testing points t of floor((t - wcet - W(t)) / ceil(t / T_c)),
+/// with W(t) = sum_j ceil(t / T_j) * C_j the demand of `higher`.  Returns
+/// `cap` as soon as the running best reaches it (min(cap, best) can no
+/// longer change).
+///
+/// One pass merges the arrival sequences of `higher` in time order.  W is
+/// constant on each gap (a, b] between consecutive arrivals and grows by
+/// checked addition as arrivals pass; the closed form is evaluated at
+/// every gap end b (the hosted scheduling points and the deadline) and at
+/// the last candidate arrival m*T_c before b: on the gap,
+/// (m*T_c - wcet - W) / m = T_c - (wcet + W) / m grows with m, so the last
+/// arrival dominates every earlier one.  (If that arrival lies in an
+/// earlier gap, the current W overstates its demand and the value is a
+/// lower bound on one already taken.)  The candidate's arrival count and
+/// the improvement test are kept by addition and multiplication; the only
+/// division is taken when the best value improves.  Once W overflows int64
+/// no later point is admissible, so the pass ends there.
+Time max_budget(std::span<const Subtask> higher, Time wcet, Time deadline,
+                Time candidate_period, Time cap) {
+  thread_local std::vector<Arrivals> streams;
+  streams.clear();
+  Time demand = 0;  // W on the current gap: every job released before it
+  Time t = deadline;
+  for (const Subtask& j : higher) {
+    if (__builtin_add_overflow(demand, j.wcet, &demand)) return 0;
+    streams.push_back({j.period, j.period, j.wcet});
+    t = std::min(t, j.period);
+  }
+
   Time best = 0;
-  for (std::size_t k = 0; k < set.points.size(); ++k) {
-    const Time t = set.points[k];
-    const Time avail = t - hosted.wcet;
-    if (set.interference[k] >= avail) continue;  // saturated W lands here too
-    const Time slack = avail - set.interference[k];
-    best = std::max(best, slack / ceil_div(t, candidate_period));
-  }
-  const auto higher = processor.subtasks().first(index);
-  for (Time t = candidate_period; t < hosted.deadline;) {
-    const Time avail = t - hosted.wcet;
-    const auto demand = interference_at(t, higher);
-    if (demand && *demand < avail) {
-      best = std::max(best, (avail - *demand) / ceil_div(t, candidate_period));
+  // floor(slack / jobs) > best  <=>  slack >= (best + 1) * jobs.
+  const auto consider = [&best](Time slack, Time jobs) {
+    Time bar = 0;
+    if (!__builtin_mul_overflow(best + 1, jobs, &bar) && slack >= bar) {
+      best = slack / jobs;
     }
-    if (t > kTimeInfinity - candidate_period) break;
-    t += candidate_period;
+  };
+  Time released = 0;  // candidate releases m*T_c < t, m >= 1
+  Time last_release = 0;
+  Time next_release = candidate_period;  // kTimeInfinity once unrepresentable
+  while (true) {
+    while (next_release < t) {
+      last_release = next_release;
+      ++released;
+      if (__builtin_add_overflow(next_release, candidate_period, &next_release)) {
+        next_release = kTimeInfinity;
+      }
+    }
+    // A non-positive slack at t rules out the earlier release too (W no
+    // smaller, time smaller), and keeps the subtractions in range.
+    if (demand < t - wcet) {
+      consider(t - wcet - demand, released + 1);
+      if (released > 0) consider(last_release - wcet - demand, released);
+      if (best >= cap) return cap;
+    }
+    if (t == deadline) return best;
+    // Pass the releases at t; the next gap ends at the earliest one after.
+    Time next = deadline;
+    for (Arrivals& s : streams) {
+      if (s.next == t) {
+        if (__builtin_add_overflow(demand, s.wcet, &demand)) return best;
+        if (__builtin_add_overflow(s.next, s.period, &s.next)) {
+          s.next = kTimeInfinity;
+        }
+      }
+      next = std::min(next, s.next);
+    }
+    t = next;
   }
-  return best;
 }
 
 Time max_wcet_points(const ProcessorState& processor, const Subtask& prototype) {
@@ -87,12 +117,16 @@ Time max_wcet_points(const ProcessorState& processor, const Subtask& prototype) 
       [](const Subtask& a, const Subtask& b) { return a.priority < b.priority; });
   const auto pos = static_cast<std::size_t>(pos_it - hosted.begin());
 
-  Time budget = max_self_budget(hosted.first(pos), prototype.deadline);
+  // The prototype's own job under its higher-priority hosts (a period of
+  // kTimeInfinity releases it once), then every lower-priority host with
+  // the prototype as an extra interferer.
+  Time budget = max_budget(hosted.first(pos), 0, prototype.deadline,
+                           kTimeInfinity, prototype.wcet);
   for (std::size_t i = pos; i < hosted.size() && budget > 0; ++i) {
-    budget = std::min(budget,
-                      max_extra_interference(processor, i, prototype.period));
+    budget = max_budget(hosted.first(i), hosted[i].wcet, hosted[i].deadline,
+                        prototype.period, budget);
   }
-  return std::min(budget, prototype.wcet);
+  return budget;
 }
 
 }  // namespace

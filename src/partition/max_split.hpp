@@ -7,12 +7,19 @@
 //
 // Two exact implementations are provided:
 //  * kBinarySearch -- O(log C) full admission checks; the reference
-//    implementation (paper Section IV-A suggests it directly).
+//    implementation (paper Section IV-A suggests it directly) and the
+//    oracle the other method is tested against.
 //  * kSchedulingPoints -- the efficient method of [22]: for every hosted
 //    lower-priority subtask, maximize the admissible extra interference
-//    over its time-demand testing set in closed form; still
-//    pseudo-polynomial but much faster (measured in bench_e8_runtime).
-// Both compute the same value on every input (property-tested).
+//    in closed form over its time-demand testing set.  One streaming pass
+//    per hosted subtask merges the higher-priority arrival sequences in
+//    time order and evaluates the closed form at each hosted scheduling
+//    point and at the last candidate arrival before it; the pass stops as
+//    soon as the subtask can no longer lower the budget.  Still
+//    pseudo-polynomial but much faster (measured in bench_e8_runtime
+//    BM_MaxSplit).
+// Both compute the same value on every input (property-tested, and
+// differentially fuzzed by `rmts_fuzz maxsplit`).
 #pragma once
 
 #include "partition/processor_state.hpp"

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/trace.hpp"
+
 namespace rmts {
 
 bool assign_or_split(ProcessorState& processor, ChainCursor& cursor,
@@ -32,7 +34,11 @@ bool assign_or_split(ProcessorState& processor, ChainCursor& cursor,
     return false;
   }
 
-  Time prefix = max_admissible_wcet(processor, candidate, method);
+  Time prefix = 0;
+  {
+    const trace::Span span(trace::Stage::kPartitionSplit);
+    prefix = max_admissible_wcet(processor, candidate, method);
+  }
   assert(prefix < candidate.wcet);  // full fit was rejected above
   prefix -= prefix % split_granularity;
   if (prefix > 0) {

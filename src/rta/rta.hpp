@@ -92,16 +92,15 @@ struct ProcessorRta {
 /// Time-demand analysis (Lehoczky/Sha/Ding) testing-set formulation:
 /// the scheduling points for a subtask with deadline `deadline` under the
 /// given higher-priority interferers -- all multiples m*T_j in (0, deadline]
-/// plus `deadline` itself, deduplicated and sorted.  Exposed for the
-/// scheduling-point MaxSplit and for cross-checking RTA in tests.
+/// plus `deadline` itself, deduplicated and sorted.  Exposed for
+/// cross-checking RTA and MaxSplit in tests and the fuzzer.
 [[nodiscard]] std::vector<Time> scheduling_points(Time deadline,
                                                   std::span<const Subtask> interferers);
 
 /// As above into a caller-supplied scratch buffer: `points` is cleared,
 /// reserved from the interferer periods (sum of floor((deadline-1)/T_j)
 /// arrival counts, capped), filled, sorted and deduplicated -- no fresh
-/// allocation once the scratch capacity has grown to the workload.  The
-/// testing-set builder and MaxSplit's search loops call this overload.
+/// allocation once the scratch capacity has grown to the workload.
 void scheduling_points(Time deadline, std::span<const Subtask> interferers,
                        std::vector<Time>& points);
 

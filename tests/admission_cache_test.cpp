@@ -158,15 +158,22 @@ TEST(AdmissionCache, InterleavedAddRemoveMatchesFromScratchAnalysis) {
             << "seed " << seed << " step " << step << " index " << i;
       }
 
-      // The testing-set cache behind the scheduling-point MaxSplit must
-      // also track removals: both methods agree on the warm cache.
+      // MaxSplit on the churned processor equals both the binary search
+      // (whose fits() probes run on the churned cache) and MaxSplit on a
+      // fresh processor hosting the same subtasks.
       if (step % 8 == 7) {
         Subtask prototype = random_subtask(rng, 0, true);
-        EXPECT_EQ(
-            max_admissible_wcet(processor, prototype,
-                                MaxSplitMethod::kBinarySearch),
-            max_admissible_wcet(processor, prototype,
-                                MaxSplitMethod::kSchedulingPoints))
+        const Time points = max_admissible_wcet(
+            processor, prototype, MaxSplitMethod::kSchedulingPoints);
+        EXPECT_EQ(max_admissible_wcet(processor, prototype,
+                                      MaxSplitMethod::kBinarySearch),
+                  points)
+            << "seed " << seed << " step " << step;
+        ProcessorState fresh_processor;
+        for (const Subtask& s : processor.subtasks()) fresh_processor.add(s);
+        EXPECT_EQ(max_admissible_wcet(fresh_processor, prototype,
+                                      MaxSplitMethod::kSchedulingPoints),
+                  points)
             << "seed " << seed << " step " << step;
       }
     }
@@ -236,9 +243,15 @@ TEST(AdmissionCache, MaxSplitMethodsAgreeOnWarmCache) {
     const Time points = max_admissible_wcet(processor, prototype,
                                             MaxSplitMethod::kSchedulingPoints);
     EXPECT_EQ(binary, points) << "seed " << seed;
-    // A second query on the now-warm testing-set cache must agree.
+    // The binary search warmed the response cache; a repeated query and
+    // one on a fresh processor hosting the same subtasks must agree.
     EXPECT_EQ(points, max_admissible_wcet(processor, prototype,
                                           MaxSplitMethod::kSchedulingPoints));
+    ProcessorState fresh_processor;
+    for (const Subtask& s : processor.subtasks()) fresh_processor.add(s);
+    EXPECT_EQ(points, max_admissible_wcet(fresh_processor, prototype,
+                                          MaxSplitMethod::kSchedulingPoints))
+        << "seed " << seed;
     // The result is a true maximum: it fits, one more tick does not.
     if (binary > 0 && binary < prototype.wcet) {
       Subtask probe = prototype;

@@ -95,6 +95,72 @@ TEST(MaxSplit, MidPriorityCandidateConstrainedBothWays) {
   EXPECT_FALSE(processor.fits(fitted));
 }
 
+// Both methods agree, and the result leaves a bottleneck: it fits and one
+// more tick does not (Definition 2).
+void expect_exact_bottleneck(const ProcessorState& processor,
+                             const Subtask& candidate, Time expected) {
+  const Time points = max_admissible_wcet(processor, candidate, kPoints);
+  EXPECT_EQ(points, expected);
+  EXPECT_EQ(max_admissible_wcet(processor, candidate, kBinary), expected);
+  ASSERT_GT(expected, 0);
+  ASSERT_LT(expected, candidate.wcet);
+  Subtask fitted = candidate;
+  fitted.wcet = expected;
+  EXPECT_TRUE(processor.fits(fitted));
+  fitted.wcet = expected + 1;
+  EXPECT_FALSE(processor.fits(fitted));
+}
+
+// hp (10, 100) above lp (100, 300); candidate period 90.  For lp the
+// hosted points are {100, 200, 300} with W = 10, 20, 30 on the gaps
+// before them.  The optimum floor((270 - 100 - 30) / 3) = 46 sits at the
+// candidate arrival 270, strictly inside (200, 300]; the hosted points
+// alone give only max(-, 26, 42) = 42.
+TEST(MaxSplit, OptimumAtCandidateArrivalBetweenHostedPoints) {
+  ProcessorState processor;
+  processor.add(make_subtask(1, 10, 100));
+  processor.add(make_subtask(2, 100, 300));
+  expect_exact_bottleneck(processor, make_subtask(0, 90, 90), 46);
+}
+
+// hp (10, 1000) above lp (100, 2000); candidate period 90.  The gap
+// (1000, 2000] holds the candidate arrivals 1080, ..., 1980 (m = 12..22)
+// under W = 20: (m*90 - 120) / m grows with m, so the last one, 1980,
+// gives floor(1860 / 22) = 84 while the first gives 80 and the point
+// 2000 gives floor(1880 / 23) = 81.
+TEST(MaxSplit, OptimumAtLastArrivalOfGap) {
+  ProcessorState processor;
+  processor.add(make_subtask(1, 10, 1000));
+  processor.add(make_subtask(2, 100, 2000));
+  expect_exact_bottleneck(processor, make_subtask(0, 90, 90), 84);
+}
+
+// Prototype wcet 50, period 100.  The first hosted subtask (10, 1000)
+// admits floor((100 - 10) / 1) = 90 >= 50 at the first candidate arrival,
+// so its scan stops at the cap; the later (800, 1000) binds at
+// floor((1000 - 800 - 10) / 10) = 19.
+TEST(MaxSplit, LaterHostedSubtaskBindsAfterEarlyCap) {
+  ProcessorState processor;
+  processor.add(make_subtask(1, 10, 1000));
+  processor.add(make_subtask(2, 800, 1000));
+  expect_exact_bottleneck(processor, make_subtask(0, 50, 100), 19);
+}
+
+// Overflow-scale demand: hp (2^62 + 1, 3 * 2^61) above lp (2^60,
+// kTimeInfinity).  For lp, W overflows int64 once hp's second job is
+// released at 3 * 2^61, so no later point -- the deadline included -- is
+// admissible.  The bound comes from the point 3 * 2^61 with three
+// candidate jobs (period 2^61): floor((2^60 - 1) / 3).
+TEST(MaxSplit, SaturatedDemandMatchesBinarySearch) {
+  constexpr Time k60 = Time{1} << 60;
+  constexpr Time k61 = Time{1} << 61;
+  ProcessorState processor;
+  processor.add(make_subtask(1, 4 * k60 + 1, 3 * k61));
+  processor.add(make_subtask(2, k60, kTimeInfinity));
+  expect_exact_bottleneck(processor, make_subtask(0, k61, k61),
+                          (k60 - 1) / 3);
+}
+
 // Randomized equivalence + bottleneck property: both implementations agree,
 // the result fits, and one more tick does not (Definition 2's bottleneck).
 TEST(MaxSplit, MethodsAgreeAndLeaveBottleneck) {

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/trace.hpp"
+#include "online/session.hpp"
+#include "partition/rmts_light.hpp"
 #include "server/client.hpp"
 #include "server/json.hpp"
 #include "server/metrics.hpp"
@@ -112,6 +114,44 @@ TEST(Trace, RuntimeKillSwitchSuppressesRecording) {
             before.stage(trace::Stage::kSimRun).count);
   EXPECT_EQ(after.counter(trace::Counter::kSimRuns),
             before.counter(trace::Counter::kSimRuns));
+}
+
+TEST(Trace, PartitionSplitAdvancesOnSplittingRun) {
+  if (!trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  const auto split_calls = [](const trace::Snapshot& snap) {
+    return snap.stage(trace::Stage::kPartitionSplit).count;
+  };
+  // Three U ~ 0.6 tasks on two processors: one must be split, in batch
+  // and in an online session alike (the session splits only a task that
+  // gets top local priority, hence its shorter period).
+  const TaskSet tasks = TaskSet::from_pairs({{6, 10}, {6, 10}, {6, 10}});
+  const trace::Snapshot before = trace::snapshot();
+  const Assignment assignment = RmtsLight().partition(tasks, 2);
+  const trace::Snapshot batch = trace::snapshot();
+  ASSERT_TRUE(assignment.success);
+  ASSERT_GE(assignment.split_task_count(), 1u);
+  EXPECT_GE(split_calls(batch) - split_calls(before),
+            assignment.split_task_count());
+
+  online::SessionConfig config;
+  config.processors = 2;
+  online::PartitionSession session(config);
+  ASSERT_TRUE(session.admit(6, 10).admitted);
+  ASSERT_TRUE(session.admit(6, 10).admitted);
+  const online::AdmitResult split = session.admit(5, 9);
+  ASSERT_TRUE(split.admitted);
+  ASSERT_EQ(split.parts, 2u);
+  EXPECT_GE(split_calls(trace::snapshot()) - split_calls(batch), 1u);
+  EXPECT_EQ(trace::stage_name(trace::Stage::kPartitionSplit), "partition_split");
+
+  // Exported like every other stage.
+  Metrics metrics;
+  const Router router(RouterConfig{}, metrics);
+  const JsonValue reply = parse_ok(router.handle(R"({"op":"stats"})").reply);
+  ASSERT_NE(reply.find("stages"), nullptr);
+  EXPECT_NE(reply.find("stages")->find("partition_split"), nullptr);
+  EXPECT_NE(router.metrics_exposition().find("stage=\"partition_split\""),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------- exposition --

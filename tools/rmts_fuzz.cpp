@@ -21,6 +21,7 @@
 //   rmts_fuzz json [seconds=10] [seed=1]
 //   rmts_fuzz kernel [seconds=10] [seed=1]
 //   rmts_fuzz churn [seconds=10] [seed=1]
+//   rmts_fuzz maxsplit [seconds=10] [seed=1]
 //
 // The `proto` mode fuzzes the admission-control service's codec instead:
 // random, truncated, mutated and oversized byte streams are fed through
@@ -55,6 +56,16 @@
 // ProcessorState::fits/fits_batch and kernel_jitter_response, with the
 // SoA mirror staying consistent under any incremental insertion order.
 //
+// The `maxsplit` mode differentially fuzzes the scheduling-point MaxSplit
+// against the binary-search oracle: random processors built through
+// fits()/add() (log-uniform periods in [1e3, 1e6], synthetic tail
+// deadlines) and prototypes at the top priority -- the RM-TS shape -- or
+// below hosted priorities, which exercises the self-budget path.  A share
+// of the cases is overflow-scale: periods and wcets near 2^62, deadlines
+// near kTimeInfinity and candidate periods whose arrivals saturate there.
+// Both methods must agree, and the result must leave a bottleneck: it
+// fits, and one more tick does not.
+//
 // On violation the exact seed/attempt and fault configuration are printed
 // and the offending task set is written to
 // rmts_fuzz_violation_<seed>_<attempt>.txt, so any failure replays with
@@ -83,6 +94,7 @@
 #include "online/session.hpp"
 #include "partition/baselines.hpp"
 #include "partition/edf_split.hpp"
+#include "partition/max_split.hpp"
 #include "partition/processor_state.hpp"
 #include "partition/rmts.hpp"
 #include "partition/rmts_light.hpp"
@@ -758,6 +770,133 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
   return violations;
 }
 
+// ------------------------------------------------ MaxSplit differential --
+
+/// One random subtask for the MaxSplit fuzz.  Realistic draws follow the
+/// library workload (log-uniform periods in [1e3, 1e6]); overflow-scale
+/// draws put periods, wcets and deadlines near 2^62 and kTimeInfinity, so
+/// the demand and the candidate's arrivals saturate int64.
+Subtask random_split_subtask(Rng& rng, std::size_t priority,
+                             bool overflow_scale) {
+  Subtask s;
+  s.priority = priority;
+  s.task_id = static_cast<TaskId>(priority);
+  if (overflow_scale) {
+    s.period = rng.uniform_int(0, 1) == 0
+                   ? rng.uniform_int(Time{1} << 61, Time{1} << 62)
+                   : rng.uniform_int(kTimeInfinity / 2, kTimeInfinity);
+    s.wcet = rng.uniform_int(0, 1) == 0 ? rng.uniform_int(1, s.period / 2)
+                                        : rng.uniform_int(1, 1'000'000);
+  } else {
+    s.period = rng.log_uniform_time(1'000, 1'000'000);
+    s.wcet = rng.uniform_int(1, std::max<Time>(1, s.period / 3));
+  }
+  s.deadline = s.period;
+  if (rng.uniform_int(0, 2) == 0) {  // synthetic (tail) deadline
+    s.deadline = rng.uniform_int(s.wcet, s.period);
+    s.kind = SubtaskKind::kTail;
+  }
+  return s;
+}
+
+/// Writes a failing MaxSplit case (hosted subtasks and prototype, one
+/// `priority wcet period deadline` line each) for replay.
+void dump_split_case(const std::string& path, const std::string& what,
+                     std::span<const Subtask> hosted, const Subtask& prototype) {
+  std::ofstream dump(path);
+  if (!dump) return;
+  dump << "# " << what << "\n# hosted: priority wcet period deadline\n";
+  for (const Subtask& s : hosted) {
+    dump << s.priority << ' ' << s.wcet << ' ' << s.period << ' '
+         << s.deadline << '\n';
+  }
+  dump << "# prototype\n"
+       << prototype.priority << ' ' << prototype.wcet << ' '
+       << prototype.period << ' ' << prototype.deadline << '\n';
+  std::cerr << "  case written to " << path << '\n';
+}
+
+/// Differential fuzz of the scheduling-point MaxSplit against the binary
+/// search.  Returns the number of violations found.
+std::uint64_t maxsplit_fuzz(double seconds, std::uint64_t seed) {
+  Rng rng(seed ^ 0x6d61787370ULL);  // "maxsp"
+  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t attempts = 0;
+  std::uint64_t overflow_cases = 0;
+  std::uint64_t lower_priority = 0;
+  std::uint64_t partial = 0;  // 0 < result < wcet: a real split
+  std::uint64_t violations = 0;
+
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+             .count() < seconds) {
+    Rng sample = rng.fork(attempts++);
+    const bool overflow_scale = sample.uniform_int(0, 4) == 0;
+    overflow_cases += overflow_scale ? 1 : 0;
+
+    // Hosted priorities are distinct draws from 1..40; a prototype at 0
+    // is top-priority (the RM-TS split shape).
+    ProcessorState processor;
+    std::vector<std::size_t> taken;
+    const auto hosted = sample.uniform_int(0, 10);
+    for (std::int64_t k = 0; k < hosted; ++k) {
+      const auto priority = static_cast<std::size_t>(sample.uniform_int(1, 40));
+      if (std::find(taken.begin(), taken.end(), priority) != taken.end()) continue;
+      const Subtask s = random_split_subtask(sample, priority, overflow_scale);
+      if (!processor.fits(s)) continue;  // MaxSplit's precondition
+      processor.add(s);
+      taken.push_back(priority);
+    }
+    std::size_t priority = 0;
+    if (sample.uniform_int(0, 2) == 0) {
+      do {
+        priority = static_cast<std::size_t>(sample.uniform_int(1, 41));
+      } while (std::find(taken.begin(), taken.end(), priority) != taken.end());
+      ++lower_priority;
+    }
+    Subtask prototype = random_split_subtask(sample, priority, overflow_scale);
+    prototype.wcet = sample.uniform_int(1, prototype.period);
+    if (overflow_scale && sample.uniform_int(0, 1) == 0) {
+      // Few, huge candidate arrivals: the last ones sit near kTimeInfinity.
+      prototype.period = sample.uniform_int(kTimeInfinity / 8, kTimeInfinity);
+    }
+
+    const Time points =
+        max_admissible_wcet(processor, prototype, MaxSplitMethod::kSchedulingPoints);
+    const Time binary =
+        max_admissible_wcet(processor, prototype, MaxSplitMethod::kBinarySearch);
+    const auto fits_with = [&](Time wcet) {
+      Subtask probe = prototype;
+      probe.wcet = wcet;
+      return processor.fits(probe);
+    };
+    std::string what;
+    if (points != binary) {
+      what = "scheduling points " + std::to_string(points) +
+             " != binary search " + std::to_string(binary);
+    } else if (binary > 0 && !fits_with(binary)) {
+      what = "MaxSplit result " + std::to_string(binary) + " does not fit";
+    } else if (binary < prototype.wcet && fits_with(binary + 1)) {
+      what = "MaxSplit result " + std::to_string(binary) +
+             " leaves no bottleneck";
+    }
+    if (binary > 0 && binary < prototype.wcet) ++partial;
+    if (!what.empty()) {
+      ++violations;
+      std::cerr << "MAXSPLIT VIOLATION: " << what << "\n  repro: seed " << seed
+                << ", attempt " << attempts - 1 << '\n';
+      dump_split_case("rmts_fuzz_violation_" + std::to_string(seed) + "_" +
+                          std::to_string(attempts - 1) + ".txt",
+                      what, processor.subtasks(), prototype);
+    }
+  }
+
+  std::cout << "rmts_fuzz maxsplit: " << attempts << " cases (" << overflow_cases
+            << " overflow-scale, " << lower_priority << " lower-priority prototypes, "
+            << partial << " partial splits), " << violations
+            << " violations (seed " << seed << ")\n";
+  return violations;
+}
+
 // --------------------------------------------------- online churn fuzz --
 
 /// Random admit/depart/rebalance interleavings on a PartitionSession.
@@ -965,6 +1104,12 @@ int main(int argc, char** argv) {
     const std::uint64_t kernel_seed =
         argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
     return kernel_fuzz(kernel_seconds, kernel_seed) == 0 ? 0 : 1;
+  }
+  if (argc > 1 && std::string(argv[1]) == "maxsplit") {
+    const double maxsplit_seconds = argc > 2 ? std::atof(argv[2]) : 10.0;
+    const std::uint64_t maxsplit_seed =
+        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
+    return maxsplit_fuzz(maxsplit_seconds, maxsplit_seed) == 0 ? 0 : 1;
   }
   if (argc > 1 && std::string(argv[1]) == "churn") {
     const double churn_seconds = argc > 2 ? std::atof(argv[2]) : 10.0;
