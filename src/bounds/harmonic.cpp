@@ -1,58 +1,100 @@
 #include "bounds/harmonic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 namespace rmts {
 
 namespace {
 
-/// Strict order for the divisibility poset over period multiset entries.
-/// Equal periods are mutually harmonic; indices break the tie so the order
-/// stays irreflexive while keeping duplicates comparable.
-bool divides_strictly(std::span<const Time> periods, std::size_t a, std::size_t b) {
-  if (periods[b] % periods[a] != 0) return false;
-  if (periods[a] != periods[b]) return true;
-  return a < b;
-}
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+constexpr std::size_t kWordBits = 64;
 
-/// Kuhn's augmenting-path maximum matching on the bipartite graph whose
-/// left/right copies are the poset elements and whose edges are the strict
-/// divisibility pairs.  `match_left[u]` ends up holding u's successor in
-/// its chain (or npos).
+/// Strict divisibility order of a period multiset as bitset rows, and a
+/// maximum matching on it (Fulkerson's bipartite construction: left and
+/// right copies of the poset elements, one edge per strict pair).
 struct ChainMatching {
-  std::vector<std::size_t> match_left;   // successor of u, npos if none
-  std::vector<std::size_t> match_right;  // predecessor of v, npos if none
-  std::size_t matched = 0;
+  std::size_t words{0};                  ///< 64-bit words per row
+  std::vector<std::uint64_t> rows;       ///< bit v of row u: u precedes v
+  std::vector<std::uint64_t> visited;    ///< right vertices one search saw
+  std::vector<std::size_t> match_left;   ///< successor of u, kNone if none
+  std::vector<std::size_t> match_right;  ///< predecessor of v, kNone if none
+  std::size_t matched{0};
 };
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+/// Fills m.rows with the strict order: a precedes b iff p_a divides p_b
+/// and either p_a < p_b or (equal periods, mutually harmonic) a < b --
+/// the index tiebreak keeps the order irreflexive while duplicates stay
+/// comparable.  Each unordered pair costs one remainder, the larger
+/// period's by the smaller, so on non-decreasing periods (an RM-sorted
+/// TaskSet) every edge points forward from the lower index.
+template <typename PeriodAt>
+void build_order(std::size_t n, PeriodAt period, ChainMatching& m) {
+  m.words = (n + kWordBits - 1) / kWordBits;
+  m.rows.assign(n * m.words, 0);
+  const auto set = [&m](std::size_t from, std::size_t to) {
+    m.rows[from * m.words + to / kWordBits] |= std::uint64_t{1}
+                                               << (to % kWordBits);
+  };
+  for (std::size_t a = 0; a < n; ++a) {
+    const Time pa = period(a);
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const Time pb = period(b);
+      if (pa <= pb) {
+        if (pb % pa == 0) set(a, b);
+      } else if (pa % pb == 0) {
+        set(b, a);
+      }
+    }
+  }
+}
 
-bool try_augment(std::span<const Time> periods, std::size_t u,
-                 std::vector<char>& visited, ChainMatching& m) {
-  const std::size_t n = periods.size();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (visited[v] || !divides_strictly(periods, u, v)) continue;
-    visited[v] = 1;
-    if (m.match_right[v] == kNone ||
-        try_augment(periods, m.match_right[v], visited, m)) {
-      m.match_left[u] = v;
-      m.match_right[v] = u;
-      return true;
+/// Kuhn's augmenting path from left vertex u over the bitset rows: the
+/// next unvisited neighbour is the lowest set bit of row & ~visited, so
+/// neighbours are tried in increasing index order, as a scan over the
+/// periods would.
+bool try_augment(std::size_t u, ChainMatching& m) {
+  const std::uint64_t* const row = &m.rows[u * m.words];
+  for (std::size_t w = 0; w < m.words; ++w) {
+    std::uint64_t open;
+    while ((open = row[w] & ~m.visited[w]) != 0) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(open));
+      const std::size_t v = w * kWordBits + bit;
+      m.visited[w] |= std::uint64_t{1} << bit;
+      if (m.match_right[v] == kNone || try_augment(m.match_right[v], m)) {
+        m.match_left[u] = v;
+        m.match_right[v] = u;
+        return true;
+      }
     }
   }
   return false;
 }
 
-ChainMatching max_matching(std::span<const Time> periods) {
-  const std::size_t n = periods.size();
-  ChainMatching m;
+/// Builds the order over `n` periods and runs the matching.  Sets of up
+/// to kRetainedTasks periods reuse one thread-local workspace
+/// (allocation-free once warm: the HC bound runs on every RM-TS
+/// admission); a larger set uses the caller's `one_off`, freed when the
+/// caller returns, so no thread keeps the quadratic rows of an oversized
+/// input.  The result is valid until the next call on this thread.
+constexpr std::size_t kRetainedTasks = 1024;
+thread_local ChainMatching t_reused;
+
+template <typename PeriodAt>
+const ChainMatching& max_matching(std::size_t n, PeriodAt period,
+                                  ChainMatching& one_off) {
+  ChainMatching& m = n <= kRetainedTasks ? t_reused : one_off;
+  build_order(n, period, m);
+  m.visited.resize(m.words);
   m.match_left.assign(n, kNone);
   m.match_right.assign(n, kNone);
+  m.matched = 0;
   for (std::size_t u = 0; u < n; ++u) {
-    std::vector<char> visited(n, 0);
-    if (try_augment(periods, u, visited, m)) ++m.matched;
+    std::fill(m.visited.begin(), m.visited.end(), std::uint64_t{0});
+    if (try_augment(u, m)) ++m.matched;
   }
   return m;
 }
@@ -60,17 +102,21 @@ ChainMatching max_matching(std::span<const Time> periods) {
 }  // namespace
 
 std::size_t min_harmonic_chains(std::span<const Time> periods) {
-  if (periods.empty()) return 0;
   // Minimum chain cover of a poset = N - maximum matching (Dilworth via
   // Fulkerson's bipartite construction; valid because divisibility is
-  // transitive, so path cover == chain cover).
-  return periods.size() - max_matching(periods).matched;
+  // transitive, so path cover == chain cover).  0 for an empty input.
+  ChainMatching one_off;
+  const ChainMatching& m = max_matching(
+      periods.size(), [&](std::size_t i) { return periods[i]; }, one_off);
+  return periods.size() - m.matched;
 }
 
 std::vector<std::vector<std::size_t>> min_harmonic_chain_partition(
     std::span<const Time> periods) {
   const std::size_t n = periods.size();
-  const ChainMatching m = max_matching(periods);
+  ChainMatching one_off;
+  const ChainMatching& m =
+      max_matching(n, [&](std::size_t i) { return periods[i]; }, one_off);
   std::vector<std::vector<std::size_t>> chains;
   for (std::size_t u = 0; u < n; ++u) {
     if (m.match_right[u] != kNone) continue;  // not a chain head
@@ -110,8 +156,11 @@ double harmonic_chain_bound_value(std::size_t chains) noexcept {
 }
 
 double HarmonicChainBound::evaluate(const TaskSet& tasks) const {
-  const std::vector<Time> periods = tasks.periods();
-  return harmonic_chain_bound_value(min_harmonic_chains(periods));
+  // Periods straight from the RM-sorted set: no copy, forward edges only.
+  ChainMatching one_off;
+  const ChainMatching& m = max_matching(
+      tasks.size(), [&](std::size_t i) { return tasks[i].period; }, one_off);
+  return harmonic_chain_bound_value(tasks.size() - m.matched);
 }
 
 }  // namespace rmts

@@ -7,8 +7,17 @@
 // MINIMUM chain partition of the divisibility poset.  By Dilworth's
 // theorem this equals N minus a maximum bipartite matching on the strict
 // divisibility relation, which we solve exactly with Kuhn's augmenting-path
-// algorithm (task counts here are small).  A cheaper greedy decomposition
-// is provided for comparison/ablation; it never produces fewer chains.
+// algorithm.  The relation is computed once, as one bitset row per period
+// (one remainder per unordered pair, the larger period by the smaller, so
+// on the RM-sorted periods HarmonicChainBound reads straight from the
+// TaskSet every edge points forward); each augmenting search then finds
+// its next unvisited neighbour as the lowest set bit of row & ~visited,
+// one visited word-set per search.  Neighbours are tried in increasing index order, so the matching -- and
+// the chain partition read off it -- is the one a plain per-pair scan
+// finds.  Sets of up to 1024 periods reuse thread-local storage (the HC
+// bound runs on every RM-TS admission and allocates nothing once warm);
+// larger sets get storage of their own.  A cheaper greedy decomposition is
+// provided for comparison/ablation; it never produces fewer chains.
 #pragma once
 
 #include <cstddef>

@@ -72,7 +72,12 @@ inline constexpr std::size_t kStageCount = 18;
 
 /// Monotonic named counters.
 enum class Counter : std::uint8_t {
-  kAdmissionCacheHit,      ///< memoized response served without re-analysis
+  /// Hosted response made exact without re-analysis: each response a
+  /// commit-on-fit (ProcessorState::try_add) installs -- analysis the next
+  /// warm pass skips -- plus each response_time_of() served from a valid
+  /// entry.  hit / (hit + miss) is the share of hosted responses that
+  /// never needed a warm re-analysis.
+  kAdmissionCacheHit,
   kAdmissionCacheMiss,     ///< invalidated/missing entry recomputed
   kAdmissionSeededRta,     ///< fits() re-analyses seeded from the cache
   kAdmissionRtaIterations, ///< fixed-point iterations across all RTA calls

@@ -107,8 +107,7 @@ AdmitResult PartitionSession::admit(Time wcet, Time period) {
   const Subtask whole = whole_subtask(task, priority);
   for (const std::size_t q : order) {
     if (!body_safe(q, whole)) continue;
-    if (!processors_[q].fits(whole)) continue;
-    processors_[q].add(whole);
+    if (!processors_[q].try_add(whole)) continue;
     residents_.emplace_back(ticket,
                             Resident{wcet, period, priority, {q}});
     ++next_ticket_;
@@ -140,8 +139,7 @@ AdmitResult PartitionSession::admit(Time wcet, Time period) {
 
     // The remaining piece in full (a tail once something was split off;
     // redundant for part 0, probed above).
-    if (cursor.parts_placed() > 0 && processors_[q].fits(candidate)) {
-      processors_[q].add(candidate);
+    if (cursor.parts_placed() > 0 && processors_[q].try_add(candidate)) {
       parts.push_back(q);
       cursor.consume_all();
       break;

@@ -1,19 +1,18 @@
 #include "partition/assignment.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 namespace rmts {
 
 std::size_t Assignment::split_task_count() const {
-  std::map<TaskId, std::size_t> parts;
+  // A task's pieces are numbered by chain position from 0 (Subtask::part),
+  // so it has two or more pieces exactly when its piece 1 was placed.
+  std::size_t count = 0;
   for (const ProcessorAssignment& proc : processors) {
-    for (const Subtask& s : proc.subtasks) ++parts[s.task_id];
+    for (const Subtask& s : proc.subtasks) count += s.part == 1 ? 1 : 0;
   }
-  return static_cast<std::size_t>(
-      std::count_if(parts.begin(), parts.end(),
-                    [](const auto& kv) { return kv.second >= 2; }));
+  return count;
 }
 
 std::size_t Assignment::subtask_count() const {

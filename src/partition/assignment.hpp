@@ -31,7 +31,8 @@ struct Assignment {
   /// whose prefix was placed but whose remainder did not fit appears here.
   std::vector<TaskId> unassigned;
 
-  /// Number of tasks that were split across >= 2 processors.
+  /// Number of tasks that were split across >= 2 processors, i.e. whose
+  /// chain position 1 (the second piece) was placed.
   [[nodiscard]] std::size_t split_task_count() const;
 
   /// Total subtasks across all processors.

@@ -34,7 +34,7 @@ void ProcessorState::add(const Subtask& subtask) {
   // `subtask`, so the old value is still a lower bound).  Entries before
   // pos are unaffected and stay valid.
   if (cache_ != nullptr) {
-    if (!cache_->response.empty()) {
+    if (cache_->response.size() + 1 == subtasks_.size()) {
       cache_->response.insert(cache_->response.begin() + offset, subtask.wcet);
       cache_->response_valid.insert(cache_->response_valid.begin() + offset, 0);
       for (std::size_t i = pos + 1; i < subtasks_.size(); ++i) {
@@ -51,6 +51,20 @@ void ProcessorState::add(const Subtask& subtask) {
     }
   }
   utilization_ += subtask.utilization();
+}
+
+void ProcessorState::reset() noexcept {
+  subtasks_.clear();
+  utilization_ = 0.0;
+  full_ = false;
+  if (cache_ != nullptr) {
+    // Cleared, not freed: the empty responses stay in step with the empty
+    // subtask list, so add() keeps maintaining them from the first insert.
+    cache_->response.clear();
+    cache_->response_valid.clear();
+    cache_->warm_prefix = 0;
+    cache_->soa.clear();
+  }
 }
 
 void ProcessorState::remove(std::size_t index) {
@@ -175,6 +189,37 @@ bool ProcessorState::fits(const Subtask& candidate) const {
   trace::count2(trace::Counter::kAdmissionRtaIterations, verdict.iterations,
                 trace::Counter::kAdmissionSeededRta, verdict.seeded_calls);
   return verdict.fits;
+}
+
+bool ProcessorState::try_add(const Subtask& candidate) {
+  Cache& cache = materialize_cache();
+  warm_responses(cache);
+  const std::size_t n = subtasks_.size();
+  // One spare entry keeps the output pointer non-null on an empty
+  // processor, where the commit is just the candidate's own response.
+  cache.committed.resize(n + 1);
+  const KernelFit verdict =
+      kernel_fits(subtasks_, cache.soa, cache.response, candidate,
+                  /*seeds_exact=*/true, cache.committed.data());
+  trace::count2(trace::Counter::kAdmissionRtaIterations, verdict.iterations,
+                trace::Counter::kAdmissionSeededRta, verdict.seeded_calls);
+  if (!verdict.fits) return false;
+  const std::size_t pos = insert_position(subtasks_, candidate);
+  add(candidate);
+  if (!verdict.committed) return true;  // generic path: warm pass re-derives
+  // Every entry before pos was exact (warmed above) and is untouched by the
+  // insert; the candidate's own response and every shifted entry's
+  // candidate-aware fixed point are exact for the grown set.
+  assert(cache.response.size() == subtasks_.size());
+  cache.response[pos] = verdict.response;
+  cache.response_valid[pos] = 1;
+  for (std::size_t i = pos; i < n; ++i) {
+    cache.response[i + 1] = cache.committed[i];
+    cache.response_valid[i + 1] = 1;
+  }
+  cache.warm_prefix = subtasks_.size();
+  trace::count(trace::Counter::kAdmissionCacheHit, n - pos + 1);
+  return true;
 }
 
 void ProcessorState::fits_batch(std::span<const Subtask> candidates,

@@ -21,6 +21,14 @@ namespace rmts {
 /// the set only grew, so a response computed under a subset of the
 /// current interferers is a valid lower bound and seeds the re-analysis
 /// (see response_time_seeded).
+/// Commit-on-fit: try_add() probes and, when the probe fits, installs the
+/// responses the probe itself converged to -- the candidate's own and every
+/// lower-priority subtask's with the candidate as an extra interferer,
+/// which are exactly their responses in the grown set -- as exact entries,
+/// so an accepting admission leaves nothing for the next warm pass.  A
+/// warm pass still runs after a plain add(), after a probe outside the
+/// kernel's no-overflow regime (that path commits nothing), after a
+/// remove(), and after a copy dropped the cache.
 /// After a remove() the direction flips -- the interferer set SHRANK, a
 /// stale value is an upper bound and a cached miss may now fit -- so
 /// remove() re-seeds the suffix from each subtask's own wcet instead
@@ -63,6 +71,13 @@ class ProcessorState {
 
   [[nodiscard]] bool empty() const noexcept { return subtasks_.empty(); }
 
+  /// Empties the processor (no subtasks, utilization 0, not full) but keeps
+  /// the capacity of the subtask vector, the cache vectors and the SoA
+  /// mirror, so a reused processor refills without allocating.  The
+  /// partition workspace (ScratchLease, partition/policies.hpp) resets its
+  /// leased processors instead of constructing new ones per run.
+  void reset() noexcept;
+
   /// Inserts `subtask` at its priority position.  Caller is responsible for
   /// having verified schedulability (see fits()).  Invalidates the cached
   /// responses of every lower-priority hosted subtask.
@@ -90,6 +105,14 @@ class ProcessorState {
   /// candidate-free response.  Evaluated through the SoA kernel
   /// (rta/rta_kernel.hpp), bit-identical to the scalar path.
   [[nodiscard]] bool fits(const Subtask& candidate) const;
+
+  /// fits() + add() in one step: returns false and changes nothing when
+  /// `candidate` does not fit; otherwise adds it and -- when the probe ran
+  /// the kernel's fused fast path -- installs the responses the probe
+  /// converged to as exact cache entries (see the class comment), counting
+  /// each as an admission-cache hit.  Verdict and resulting hosted set are
+  /// identical to `if (fits(c)) add(c);`.
+  bool try_add(const Subtask& candidate);
 
   /// Batched admission: one verdict per candidate against the current
   /// hosted set, equivalent to (but cheaper than) calling fits() per
@@ -126,6 +149,10 @@ class ProcessorState {
     /// invalidates suffixes, so one marker is enough for warm_responses()
     /// to skip its scan entirely in the steady probe-heavy state.
     std::size_t warm_prefix{0};
+    /// try_add()'s kernel output: the hosted subtasks' responses with the
+    /// candidate as an extra interferer (parallel to subtasks_, entries
+    /// from the insert position on).  Scratch only; kept for its capacity.
+    std::vector<Time> committed;
     /// Structure-of-arrays mirror of subtasks_ for the RTA kernel,
     /// maintained incrementally by add() once live (and rebuilt whenever
     /// it falls out of step, e.g. after copy-assignment dropped it).

@@ -1,7 +1,7 @@
 #include "partition/rmts.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "common/trace.hpp"
@@ -12,14 +12,14 @@ namespace rmts {
 
 namespace {
 
-/// Largest-index non-full processor among `candidates` (paper Algorithm 3,
+/// Largest-index non-full processor in [first, last) (paper Algorithm 3,
 /// line 19: first-fit starting at the processor hosting the lowest-priority
 /// pre-assigned task).
 std::optional<std::size_t> largest_index_non_full(
-    const std::vector<ProcessorState>& processors,
-    const std::vector<std::size_t>& candidates) {
-  for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
-    if (!processors[*it].full()) return *it;
+    std::span<const ProcessorState> processors, std::size_t first,
+    std::size_t last) {
+  for (std::size_t q = last; q-- > first;) {
+    if (!processors[q].full()) return q;
   }
   return std::nullopt;
 }
@@ -46,11 +46,16 @@ Assignment Rmts::partition(const TaskSet& tasks, std::size_t m,
   guaranteed = lambda;
   const double light_threshold = light_task_threshold(n);
 
-  std::vector<ProcessorState> processors(m);
-  std::deque<std::size_t> unmarked;  // processors not dedicated/pre-assigned
-  for (std::size_t q = 0; q < m; ++q) unmarked.push_back(q);
-  std::vector<char> task_placed(n, 0);
+  // Processors leave the unmarked queue in index order, so each phase's
+  // processors form a range: [0, pre_assigned_begin) dedicated,
+  // [pre_assigned_begin, normal_begin) pre-assigned, [normal_begin, m)
+  // normal.  `next` is the queue head.
+  const ScratchLease lease(m, n);
+  const std::span<ProcessorState> processors = lease.processors();
+  std::vector<char>& task_placed = lease.scratch().task_placed;
+  task_placed.assign(n, 0);
   std::vector<TaskId> unassigned;
+  std::size_t next = 0;
 
   // ---- Phase 0: dedicated processors (paper footnote 5) ------------------
   // A task whose utilization exceeds Lambda(tau) cannot be covered by the
@@ -61,13 +66,12 @@ Assignment Rmts::partition(const TaskSet& tasks, std::size_t m,
     const trace::Span span(trace::Stage::kPartitionDedicate);
     for (std::size_t rank = 0; rank < n; ++rank) {
       if (tasks[rank].utilization() <= lambda) continue;
-      if (unmarked.empty()) {
+      if (next == m) {
         unassigned.push_back(tasks[rank].id);
         task_placed[rank] = 1;  // handled (as a failure); skip later phases
         continue;
       }
-      const std::size_t q = unmarked.front();
-      unmarked.pop_front();
+      const std::size_t q = next++;
       processors[q].add(whole_subtask(tasks[rank], rank));
       processors[q].mark_full();  // exclusive: nothing else lands here
       task_placed[rank] = 1;
@@ -76,29 +80,30 @@ Assignment Rmts::partition(const TaskSet& tasks, std::size_t m,
 
   // ---- Phase 1: pre-assignment (decreasing priority order) ---------------
   // suffix_util[rank] = sum of utilizations of all lower-priority tasks.
-  std::vector<std::size_t> pre_assigned;  // indices, in pre-assignment order
+  const std::size_t pre_assigned_begin = next;
   {
     const trace::Span span(trace::Stage::kPartitionPreassign);
-    std::vector<double> suffix_util(n + 1, 0.0);
+    std::vector<double>& suffix_util = lease.scratch().suffix_util;
+    suffix_util.assign(n + 1, 0.0);
     for (std::size_t rank = n; rank-- > 0;) {
       suffix_util[rank] = suffix_util[rank + 1] + tasks[rank].utilization();
     }
 
-    for (std::size_t rank = 0; rank < n && !unmarked.empty(); ++rank) {
+    for (std::size_t rank = 0; rank < n && next < m; ++rank) {
       if (task_placed[rank]) continue;
       const double u = tasks[rank].utilization();
       if (u <= light_threshold) continue;  // light task: never pre-assigned
-      const double normal_count = static_cast<double>(unmarked.size());
+      const double normal_count = static_cast<double>(m - next);
       if (suffix_util[rank + 1] <= (normal_count - 1.0) * lambda) {
-        const std::size_t q = unmarked.front();  // minimal-index normal
-        unmarked.pop_front();
+        const std::size_t q = next++;  // minimal-index normal
         processors[q].add(whole_subtask(tasks[rank], rank));
-        pre_assigned.push_back(q);
         task_placed[rank] = 1;
       }
     }
   }
-  const std::vector<std::size_t> normal(unmarked.begin(), unmarked.end());
+  const std::size_t normal_begin = next;
+  const std::span<const ProcessorState> normal =
+      processors.subspan(normal_begin);
 
   // ---- Phases 2 and 3 (increasing priority order) ------------------------
   // Phase 2 fills the normal processors worst-fit; when they are all full,
@@ -113,8 +118,13 @@ Assignment Rmts::partition(const TaskSet& tasks, std::size_t m,
       ChainCursor cursor(tasks[rank], rank);
       bool placed = false;
       while (!placed) {
-        auto q = least_utilized_non_full(processors, normal);
-        if (!q) q = largest_index_non_full(processors, pre_assigned);
+        auto q = least_utilized_non_full(normal);
+        if (q) {
+          *q += normal_begin;
+        } else {
+          q = largest_index_non_full(processors, pre_assigned_begin,
+                                     normal_begin);
+        }
         if (!q) break;  // every processor full
         placed = assign_or_split(processors[*q], cursor, method_);
       }

@@ -1,5 +1,6 @@
 #include "partition/rmts_light.hpp"
 
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,7 +12,7 @@ namespace rmts {
 namespace {
 
 std::optional<std::size_t> lowest_index_non_full(
-    const std::vector<ProcessorState>& processors) {
+    std::span<const ProcessorState> processors) {
   for (std::size_t q = 0; q < processors.size(); ++q) {
     if (!processors[q].full()) return q;
   }
@@ -34,7 +35,8 @@ RmtsLight::RmtsLight(MaxSplitMethod method, SelectionPolicy selection,
 }
 
 Assignment RmtsLight::partition(const TaskSet& tasks, std::size_t m) const {
-  std::vector<ProcessorState> processors(m);
+  const ScratchLease lease(m, tasks.size());
+  const std::span<ProcessorState> processors = lease.processors();
   std::vector<TaskId> unassigned;
 
   // Increasing priority order: lowest priority (largest RM rank) first.

@@ -14,8 +14,7 @@ bool assign_or_split(ProcessorState& processor, ChainCursor& cursor,
   assert(split_granularity >= 1);
 
   const Subtask candidate = cursor.candidate();
-  if (processor.fits(candidate)) {
-    processor.add(candidate);
+  if (processor.try_add(candidate)) {
     cursor.consume_all();
     return true;
   }

@@ -244,6 +244,9 @@ namespace rta_kernel_detail {
 /// Verdict of one batched admission probe.
 struct KernelFit {
   bool fits{false};
+  /// True iff the probe fit AND stored the hosted subtasks' new responses
+  /// into kernel_fits' `committed` output (fused fast path only).
+  bool committed{false};
   /// The candidate's own exact response time when fits; otherwise the
   /// first candidate iterate past its deadline if the candidate itself
   /// missed, or 0 when a hosted subtask was the reason for rejection.
@@ -283,6 +286,18 @@ struct KernelFit {
 /// s + ceil(s/T_c)*C_c, no time-demand pass needed.  Verdicts and
 /// reported responses are identical either way; only iteration counts
 /// shrink.
+///
+/// `committed` (optional, `subtasks.size()` entries) receives, for every
+/// hosted subtask i at or below the candidate (i >= its insert position),
+/// the converged fixed point of subtask i with the candidate as an extra
+/// interferer.  Iterated from a valid lower bound, that is the LEAST fixed
+/// point over exactly the post-insert interferer set, i.e. subtask i's
+/// exact response once the candidate is added (ProcessorState::try_add
+/// installs it instead of re-analysing).  Only the fused fast path fills
+/// it, and only when the probe fits; KernelFit::committed says so.  The
+/// generic path commits nothing.  Entries before the insert position are
+/// not written.  Callers that only probe pass nothing: the null pointer
+/// constant-folds and the probe compiles to the same code.
 /// Out-of-line generic path of kernel_fits: the candidate under its
 /// prefix via the checked-or-kernel twin, then the seeded scan with
 /// per-call guards.  `pos`, `candidate_magic` and `boost` are the values
@@ -296,7 +311,8 @@ struct KernelFit {
                                            const RtaSoa& soa,
                                            std::span<const Time> seeds,
                                            const Subtask& candidate,
-                                           bool seeds_exact = false) {
+                                           bool seeds_exact = false,
+                                           Time* committed = nullptr) {
   namespace detail = rta_kernel_detail;
   assert(seeds.size() == subtasks.size());
   assert(soa.size() == subtasks.size());
@@ -395,9 +411,11 @@ struct KernelFit {
       }
       verdict.iterations += iterations;
       if (!ok) return verdict;
+      if (committed != nullptr) committed[i] = r;
     }
     verdict.fits = true;
     verdict.response = own_response;
+    verdict.committed = committed != nullptr;
     return verdict;
   }
 

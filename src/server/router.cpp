@@ -1,5 +1,6 @@
 #include "server/router.hpp"
 
+#include <array>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -112,27 +113,53 @@ TaskSet parse_tasks(const JsonValue& request, std::size_t max_tasks) {
   return TaskSet(std::move(parsed));
 }
 
-BoundPtr make_bound(std::string_view name) {
-  if (name == "ll") return std::make_shared<LiuLaylandBound>();
-  if (name == "hc") return std::make_shared<HarmonicChainBound>();
-  if (name == "tbound") return std::make_shared<TBound>();
-  if (name == "rbound") return std::make_shared<RBound>();
-  if (name == "burchard") return std::make_shared<BurchardBound>();
+/// The wire names of the bounds, in Catalog order.
+constexpr std::array<std::string_view, 5> kBoundNames{"ll", "hc", "tbound",
+                                                      "rbound", "burchard"};
+
+/// Every bound and partitioner a request can name, built once.  They keep
+/// no state between calls (evaluate() and partition() are const, and their
+/// scratch is thread-local), so all workers share these instances instead
+/// of building a bound and an algorithm per request.
+struct Catalog {
+  std::array<BoundPtr, kBoundNames.size()> bounds{
+      std::make_shared<LiuLaylandBound>(), std::make_shared<HarmonicChainBound>(),
+      std::make_shared<TBound>(), std::make_shared<RBound>(),
+      std::make_shared<BurchardBound>()};
+  /// RM-TS under each bound, parallel to `bounds`.
+  std::array<Rmts, kBoundNames.size()> rmts{Rmts(bounds[0]), Rmts(bounds[1]),
+                                            Rmts(bounds[2]), Rmts(bounds[3]),
+                                            Rmts(bounds[4])};
+  RmtsLight rmts_light;
+  Spa1 spa1;
+  Spa2 spa2;
+  PartitionedRm prm_ff{FitPolicy::kFirstFit, TaskOrder::kDecreasingUtilization,
+                       Admission::kExactRta};
+  EdfSplit edf_ts;
+};
+
+const Catalog& catalog() {
+  static const Catalog instance;
+  return instance;
+}
+
+/// Position of bound `name` in the catalog; rejects an unknown name.
+std::size_t bound_index(std::string_view name) {
+  for (std::size_t i = 0; i < kBoundNames.size(); ++i) {
+    if (kBoundNames[i] == name) return i;
+  }
   reject("unknown bound '" + std::string(name) + "'");
 }
 
-std::shared_ptr<const Partitioner> make_algorithm(std::string_view name,
-                                                  const BoundPtr& bound) {
-  if (name == "rmts") return std::make_shared<Rmts>(bound);
-  if (name == "rmts-light") return std::make_shared<RmtsLight>();
-  if (name == "spa1") return std::make_shared<Spa1>();
-  if (name == "spa2") return std::make_shared<Spa2>();
-  if (name == "prm-ff") {
-    return std::make_shared<PartitionedRm>(FitPolicy::kFirstFit,
-                                           TaskOrder::kDecreasingUtilization,
-                                           Admission::kExactRta);
-  }
-  if (name == "edf-ts") return std::make_shared<EdfSplit>();
+/// `bound` is a bound_index(); only RM-TS consults it.
+const Partitioner& make_algorithm(std::string_view name, std::size_t bound) {
+  const Catalog& c = catalog();
+  if (name == "rmts") return c.rmts[bound];
+  if (name == "rmts-light") return c.rmts_light;
+  if (name == "spa1") return c.spa1;
+  if (name == "spa2") return c.spa2;
+  if (name == "prm-ff") return c.prm_ff;
+  if (name == "edf-ts") return c.edf_ts;
   reject("unknown algorithm '" + std::string(name) + "'");
 }
 
@@ -142,7 +169,7 @@ struct PartitionRequest {
   TaskSet tasks;
   std::size_t processors{0};
   std::string_view algorithm_key;  ///< into the request's document
-  std::shared_ptr<const Partitioner> algorithm;
+  const Partitioner* algorithm{nullptr};  ///< a catalog() instance
   DispatchPolicy policy{DispatchPolicy::kFixedPriority};
 };
 
@@ -154,7 +181,7 @@ PartitionRequest parse_partition_request(const JsonValue& request,
       request, "m", 1, static_cast<std::int64_t>(config.max_processors)));
   out.algorithm_key = optional_string(request, "alg", "rmts");
   const std::string_view bound = optional_string(request, "bound", "hc");
-  out.algorithm = make_algorithm(out.algorithm_key, make_bound(bound));
+  out.algorithm = &make_algorithm(out.algorithm_key, bound_index(bound));
   out.policy = out.algorithm_key == "edf-ts"
                    ? DispatchPolicy::kEarliestDeadlineFirst
                    : DispatchPolicy::kFixedPriority;
@@ -196,7 +223,7 @@ void handle_admit(JsonWriter& w, const JsonValue& request,
                   const RouterConfig& config) {
   const PartitionRequest p = parse_partition_request(request, config);
   // RM-TS reports the bound its partition() evaluated, not a second one.
-  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm.get());
+  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm);
   double guaranteed = 0.0;
   const Assignment assignment =
       rmts != nullptr ? rmts->partition(p.tasks, p.processors, guaranteed)
@@ -244,12 +271,11 @@ void handle_admit_batch(JsonWriter& w, const JsonValue& request,
       const std::string_view alg = optional_string(item, "alg", default_alg);
       const std::string_view bound =
           optional_string(item, "bound", default_bound);
-      const std::shared_ptr<const Partitioner> algorithm =
-          make_algorithm(alg, make_bound(bound));
+      const Partitioner& algorithm = make_algorithm(alg, bound_index(bound));
       const auto processors = static_cast<std::size_t>(m);
-      const Assignment assignment = algorithm->partition(tasks, processors);
+      const Assignment assignment = algorithm.partition(tasks, processors);
       w.member("ok", true);
-      w.member("algorithm", algorithm->name());
+      w.member("algorithm", algorithm.name());
       write_task_set_summary(w, tasks, processors);
       write_assignment_summary(w, assignment);
       if (assignment.success) ++accepted;
@@ -277,8 +303,7 @@ void handle_analyze(JsonWriter& w, const JsonValue& request,
   // (re-evaluating on partitions would be unsound -- bounds/bound.hpp).
   w.key("bounds");
   w.begin_object();
-  for (const char* name : {"ll", "hc", "tbound", "rbound", "burchard"}) {
-    const BoundPtr bound = make_bound(name);
+  for (const BoundPtr& bound : catalog().bounds) {
     w.member(bound->name(), bound->evaluate(p.tasks));
   }
   w.end_object();

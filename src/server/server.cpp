@@ -660,7 +660,9 @@ struct Server::Impl {
   void deliver_completions() {
     std::uint64_t counter = 0;
     (void)::read(completion_fd, &counter, sizeof counter);
-    std::vector<Completion> ready;
+    // The spare is empty between waves and keeps its capacity; swapping it
+    // in hands the workers a grown buffer instead of a fresh one.
+    std::vector<Completion>& ready = completion_spare;
     {
       const std::scoped_lock lock(completion_mutex);
       ready.swap(completion_queue);
@@ -674,6 +676,7 @@ struct Server::Impl {
     }
     // Flush + interest updates (and possibly closes) per touched conn.
     for (const Completion& completion : ready) finish_or_rearm(completion.token);
+    ready.clear();
   }
 
   void enqueue_reply(Connection& conn, const std::string& reply) {
@@ -811,6 +814,8 @@ struct Server::Impl {
 
   std::mutex completion_mutex;
   std::vector<Completion> completion_queue;
+  /// Event-loop side of the completion double buffer (deliver_completions).
+  std::vector<Completion> completion_spare;
 
   std::atomic<std::uint64_t> connections_accepted{0};
   std::atomic<std::uint64_t> connections_active{0};

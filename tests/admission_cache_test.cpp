@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "partition/max_split.hpp"
 #include "partition/processor_state.hpp"
 #include "rta/rta.hpp"
@@ -178,6 +180,165 @@ TEST(AdmissionCache, InterleavedAddRemoveMatchesFromScratchAnalysis) {
       }
     }
   }
+}
+
+/// The kernel's no-overflow regime for a probe of `candidate` (the fused
+/// fast path's guard): every period and deadline below 2^31, every wcet at
+/// least 1, and the one-job sum of hosted and candidate wcets below 2^31.
+bool in_fast_regime(std::span<const Subtask> hosted, const Subtask& candidate) {
+  constexpr Time kBound = Time{1} << 31;
+  Time sum = candidate.wcet;
+  bool ok = candidate.period < kBound && candidate.deadline < kBound;
+  for (const Subtask& s : hosted) {
+    sum += s.wcet;
+    ok = ok && s.period < kBound && s.deadline < kBound;
+  }
+  return ok && sum < kBound;
+}
+
+std::uint64_t counter(trace::Counter c) { return trace::snapshot().counter(c); }
+
+TEST(AdmissionCache, CommitOnFitMatchesFreshAnalysisAfterEveryTryAdd) {
+  // Randomized add/remove/try_add churn.  After every accepted try_add,
+  // each response the processor serves equals response_time_of on a fresh
+  // ProcessorState holding the same subtasks.  Every third seed scales
+  // some subtasks' periods and deadlines by 2^24, mostly past 2^31:
+  // probes on such a processor take the kernel's generic path, which commits
+  // nothing and leaves the re-analysis to the next warm pass.
+  const bool counting = trace::compiled_in() && trace::enabled();
+  std::size_t committed_probes = 0;
+  std::size_t generic_probes = 0;
+  for (std::uint64_t seed = 500; seed < 560; ++seed) {
+    Rng rng(seed);
+    const bool scaled = seed % 3 == 0;
+    // trace::snapshot() merges every thread's histograms, so the counter
+    // checks run on the first 20 seeds only.
+    const bool check = counting && seed < 520;
+    ProcessorState processor;
+    std::vector<std::size_t> free_priorities;
+    for (std::size_t p = 0; p < 40; ++p) free_priorities.push_back(p);
+
+    for (std::size_t step = 0; step < 40; ++step) {
+      const int action = static_cast<int>(rng.uniform_int(0, 5));
+      if (action == 0 && !processor.empty()) {
+        const auto index = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(processor.subtasks().size()) - 1));
+        free_priorities.push_back(processor.subtasks()[index].priority);
+        processor.remove(index);
+        continue;
+      }
+      const auto slot = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(free_priorities.size()) - 1));
+      Subtask incoming = random_subtask(rng, free_priorities[slot],
+                                        rng.uniform_int(0, 3) == 0);
+      if (scaled && rng.uniform_int(0, 2) == 0) {
+        incoming.period <<= 24;
+        incoming.deadline <<= 24;
+      }
+      const bool expected = oracle_fits(processor, incoming);
+      bool added = false;
+      if (action == 1) {
+        // A plain fits() + add() between commits: the add invalidates and
+        // the next try_add's warm pass must re-derive exact seeds.
+        added = processor.fits(incoming);
+        ASSERT_EQ(added, expected) << "seed " << seed << " step " << step;
+        if (added) processor.add(incoming);
+      } else {
+        const bool fast = in_fast_regime(processor.subtasks(), incoming);
+        const std::size_t pos = static_cast<std::size_t>(
+            std::lower_bound(processor.subtasks().begin(),
+                             processor.subtasks().end(), incoming,
+                             [](const Subtask& a, const Subtask& b) {
+                               return a.priority < b.priority;
+                             }) -
+            processor.subtasks().begin());
+        const std::uint64_t hits_before =
+            check ? counter(trace::Counter::kAdmissionCacheHit) : 0;
+        added = processor.try_add(incoming);
+        ASSERT_EQ(added, expected) << "seed " << seed << " step " << step;
+        if (added && check) {
+          const std::uint64_t hits =
+              counter(trace::Counter::kAdmissionCacheHit) - hits_before;
+          // A commit installs the candidate's own response and every
+          // shifted one; the generic path installs nothing.
+          const std::size_t n = processor.subtasks().size();
+          EXPECT_EQ(hits, fast ? n - pos : 0u)
+              << "seed " << seed << " step " << step;
+        }
+        if (added) (fast ? committed_probes : generic_probes) += 1;
+        if (added && fast && check) {
+          // Served from the commit: no response needs re-analysis.
+          const std::uint64_t misses_before =
+              counter(trace::Counter::kAdmissionCacheMiss);
+          for (std::size_t i = 0; i < processor.subtasks().size(); ++i) {
+            (void)processor.response_time_of(i);
+          }
+          EXPECT_EQ(counter(trace::Counter::kAdmissionCacheMiss),
+                    misses_before)
+              << "seed " << seed << " step " << step;
+        }
+      }
+      if (!added) continue;
+      free_priorities[slot] = free_priorities.back();
+      free_priorities.pop_back();
+
+      ProcessorState fresh;
+      for (const Subtask& s : processor.subtasks()) fresh.add(s);
+      for (std::size_t i = 0; i < processor.subtasks().size(); ++i) {
+        ASSERT_EQ(processor.response_time_of(i), fresh.response_time_of(i))
+            << "seed " << seed << " step " << step << " index " << i;
+      }
+    }
+  }
+  // Both paths were exercised.
+  EXPECT_GT(committed_probes, 100u) << generic_probes;
+  EXPECT_GT(generic_probes, 10u) << committed_probes;
+}
+
+TEST(AdmissionCache, TryAddRejectionChangesNothing) {
+  ProcessorState processor;
+  const Subtask blocker{0, 100, 0, 60, 100, 100, SubtaskKind::kWhole};
+  const Subtask hosted{2, 102, 0, 30, 100, 100, SubtaskKind::kWhole};
+  ASSERT_TRUE(processor.try_add(blocker));
+  ASSERT_TRUE(processor.try_add(hosted));
+  EXPECT_EQ(processor.response_time_of(1), 90);
+  // 60 + 30 + 30 = 120 > 100: the hosted subtask would miss.
+  const Subtask candidate{1, 101, 0, 30, 100, 100, SubtaskKind::kWhole};
+  EXPECT_FALSE(processor.try_add(candidate));
+  ASSERT_EQ(processor.subtasks().size(), 2u);
+  EXPECT_DOUBLE_EQ(processor.utilization(), 0.9);
+  EXPECT_EQ(processor.response_time_of(0), 60);
+  EXPECT_EQ(processor.response_time_of(1), 90);
+  // A candidate that fits below both: its own response is committed.
+  const Subtask low{3, 103, 0, 5, 200, 200, SubtaskKind::kWhole};
+  ASSERT_TRUE(processor.try_add(low));
+  EXPECT_EQ(processor.response_time_of(2), 95);
+}
+
+TEST(AdmissionCache, ResetKeepsNothingButCapacity) {
+  ProcessorState processor;
+  for (std::size_t p = 0; p < 6; ++p) {
+    ASSERT_TRUE(processor.try_add(
+        Subtask{p, static_cast<TaskId>(p), 0, 5, 100, 100, SubtaskKind::kWhole}));
+  }
+  processor.mark_full();
+  processor.reset();
+  EXPECT_TRUE(processor.empty());
+  EXPECT_FALSE(processor.full());
+  EXPECT_EQ(processor.utilization(), 0.0);
+  // Refilled after a reset, the processor answers exactly like a new one.
+  ProcessorState fresh;
+  for (std::size_t p = 0; p < 4; ++p) {
+    const Subtask s{p, static_cast<TaskId>(p), 0, 20 + static_cast<Time>(p),
+                    90, 90, SubtaskKind::kWhole};
+    ASSERT_EQ(processor.try_add(s), fresh.fits(s));
+    fresh.add(s);
+  }
+  for (std::size_t i = 0; i < fresh.subtasks().size(); ++i) {
+    EXPECT_EQ(processor.response_time_of(i), fresh.response_time_of(i));
+  }
+  const Subtask probe{9, 9, 0, 30, 90, 90, SubtaskKind::kWhole};
+  EXPECT_EQ(processor.fits(probe), fresh.fits(probe));
 }
 
 TEST(AdmissionCache, RemovalFlipsCachedVerdictsBackToFits) {

@@ -3,7 +3,11 @@
 // soundness of every bound as a uniprocessor RMS test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "bounds/best_of.hpp"
 #include "bounds/burchard.hpp"
@@ -120,6 +124,116 @@ TEST(HarmonicChains, PartitionIsAValidChainCover) {
     for (const int count : seen) EXPECT_EQ(count, 1);
     EXPECT_EQ(partition.size(), min_harmonic_chains(periods));
     EXPECT_LE(min_harmonic_chains(periods), greedy_harmonic_chains(periods));
+  }
+}
+
+/// The vector-based Kuhn matching the library shipped before its bitset
+/// cover: one divisibility test per (u, v) pair inside the search and a
+/// fresh visited vector per left vertex.  Oracle for the chain cover.
+struct OracleMatching {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> match_left;   // successor of u, kNone if none
+  std::vector<std::size_t> match_right;  // predecessor of v, kNone if none
+  std::size_t matched = 0;
+};
+
+bool oracle_divides_strictly(std::span<const Time> periods, std::size_t a,
+                             std::size_t b) {
+  if (periods[b] % periods[a] != 0) return false;
+  if (periods[a] != periods[b]) return true;
+  return a < b;
+}
+
+bool oracle_augment(std::span<const Time> periods, std::size_t u,
+                    std::vector<char>& visited, OracleMatching& m) {
+  for (std::size_t v = 0; v < periods.size(); ++v) {
+    if (visited[v] || !oracle_divides_strictly(periods, u, v)) continue;
+    visited[v] = 1;
+    if (m.match_right[v] == OracleMatching::kNone ||
+        oracle_augment(periods, m.match_right[v], visited, m)) {
+      m.match_left[u] = v;
+      m.match_right[v] = u;
+      return true;
+    }
+  }
+  return false;
+}
+
+OracleMatching oracle_matching(std::span<const Time> periods) {
+  const std::size_t n = periods.size();
+  OracleMatching m;
+  m.match_left.assign(n, OracleMatching::kNone);
+  m.match_right.assign(n, OracleMatching::kNone);
+  for (std::size_t u = 0; u < n; ++u) {
+    std::vector<char> visited(n, 0);
+    if (oracle_augment(periods, u, visited, m)) ++m.matched;
+  }
+  return m;
+}
+
+std::vector<std::vector<std::size_t>> oracle_partition(
+    std::span<const Time> periods) {
+  const OracleMatching m = oracle_matching(periods);
+  std::vector<std::vector<std::size_t>> chains;
+  for (std::size_t u = 0; u < periods.size(); ++u) {
+    if (m.match_right[u] != OracleMatching::kNone) continue;
+    std::vector<std::size_t> chain;
+    for (std::size_t v = u; v != OracleMatching::kNone; v = m.match_left[v]) {
+      chain.push_back(v);
+    }
+    chains.push_back(std::move(chain));
+  }
+  return chains;
+}
+
+/// A valid chain cover: every index exactly once, consecutive periods
+/// dividing.
+void expect_valid_cover(std::span<const Time> periods,
+                        const std::vector<std::vector<std::size_t>>& cover) {
+  std::vector<int> seen(periods.size(), 0);
+  for (const auto& chain : cover) {
+    ASSERT_FALSE(chain.empty());
+    for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
+      ASSERT_EQ(periods[chain[k + 1]] % periods[chain[k]], 0);
+    }
+    for (const std::size_t idx : chain) ++seen[idx];
+  }
+  for (const int count : seen) ASSERT_EQ(count, 1);
+}
+
+TEST(HarmonicChains, BitsetCoverMatchesKuhnOracle) {
+  // Random multisets drawn from a small range (duplicates and divisibility
+  // are common) and harmonic multisets (base * 2^k with repeats), each
+  // both RM-sorted and shuffled, at sizes around the 64-bit word edges.
+  Rng rng(2024);
+  for (const std::size_t n : {0u, 1u, 2u, 7u, 63u, 64u, 65u, 128u, 200u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      std::vector<Time> periods;
+      const bool harmonic = trial % 3 == 0;
+      const Time base = rng.uniform_int(1, 9);
+      for (std::size_t i = 0; i < n; ++i) {
+        periods.push_back(harmonic ? base << rng.uniform_int(0, 10)
+                                   : rng.uniform_int(1, trial % 2 ? 60 : 4000));
+      }
+      if (trial % 4 < 2) std::sort(periods.begin(), periods.end());
+      const OracleMatching oracle = oracle_matching(periods);
+      const std::size_t chains = min_harmonic_chains(periods);
+      ASSERT_EQ(chains, n - oracle.matched) << "n " << n << " trial " << trial;
+      const auto cover = min_harmonic_chain_partition(periods);
+      expect_valid_cover(periods, cover);
+      ASSERT_EQ(cover.size(), chains);
+      // Neighbours are tried in the same index order, so the cover itself
+      // is the oracle's.
+      EXPECT_EQ(cover, oracle_partition(periods)) << "n " << n;
+      if (n > 0) {
+        std::vector<std::pair<Time, Time>> pairs;
+        for (const Time p : periods) pairs.emplace_back(1, p);
+        const TaskSet tasks = TaskSet::from_pairs(pairs);
+        EXPECT_EQ(HarmonicChainBound().evaluate(tasks),
+                  harmonic_chain_bound_value(
+                      n - oracle_matching(tasks.periods()).matched));
+      }
+    }
   }
 }
 

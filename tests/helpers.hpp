@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "partition/assignment.hpp"
@@ -135,6 +137,51 @@ inline void expect_simulation_clean(const TaskSet& tasks, const Assignment& a,
       << "deadline miss: tau_" << (result.misses.empty() ? 0u : result.misses[0].task)
       << "\n"
       << tasks.describe() << a.describe();
+}
+
+/// Storage for the labels of value-parameterized cases.  gtest has no printer
+/// for the case structs, so every such test's name ends in a byte dump of its
+/// parameter, led by the low byte of the `label` pointer.  A string literal's
+/// address shifts whenever anything else in the binary changes, and the test
+/// names would shift with it.  Keeping the labels at fixed offsets in a
+/// 256-byte-aligned pool pins that byte, so the names stay stable.
+struct alignas(256) LabelPool {
+  char bytes[256] = {};
+
+  /// The pooled copy of `text`; a label missing from the pool fails the
+  /// constant evaluation.
+  consteval const char* label(std::string_view text) const {
+    for (std::size_t i = 0; i + text.size() < sizeof bytes; ++i) {
+      if ((i == 0 || bytes[i - 1] == '\0') && bytes[i + text.size()] == '\0' &&
+          std::string_view(&bytes[i], text.size()) == text) {
+        return &bytes[i];
+      }
+    }
+    throw "label not in pool";
+  }
+};
+
+struct PlacedLabel {
+  std::size_t offset;
+  const char* text;
+};
+
+/// Lays the labels out at their offsets at compile time; a label that
+/// overlaps another or runs past the pool fails the constant evaluation.
+template <std::size_t K>
+consteval LabelPool make_label_pool(const PlacedLabel (&labels)[K]) {
+  LabelPool pool;
+  bool used[sizeof pool.bytes] = {};
+  for (const PlacedLabel& label : labels) {
+    std::size_t i = label.offset;
+    for (const char* c = label.text;; ++c, ++i) {
+      if (i >= sizeof pool.bytes || used[i]) throw "label pool overlap";
+      used[i] = true;
+      pool.bytes[i] = *c;
+      if (*c == '\0') break;
+    }
+  }
+  return pool;
 }
 
 }  // namespace rmts::testing

@@ -250,6 +250,16 @@ std::shared_ptr<const Partitioner> make_prm_wf_rm() {
                                          Admission::kExactRta);
 }
 
+constexpr testing::LabelPool kLabels = testing::make_label_pool({
+    {0x15, "rmts_light"},
+    {0x20, "rmts_light_ff"},
+    {0x2E, "rmts_light_coarse"},
+    {0x40, "rmts_ll"},
+    {0x48, "rmts_hc"},
+    {0x50, "prm_bfd"},
+    {0x58, "prm_wf_rm"},
+});
+
 class FpSoundnessTest : public ::testing::TestWithParam<AlgorithmCase> {};
 
 TEST_P(FpSoundnessTest, AcceptedImpliesSimulationClean) {
@@ -272,13 +282,14 @@ TEST_P(FpSoundnessTest, AcceptedImpliesSimulationClean) {
 
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, FpSoundnessTest,
-    ::testing::Values(AlgorithmCase{"rmts_light", &make_light, 0.8},
-                      AlgorithmCase{"rmts_light_ff", &make_light_ff, 0.8},
-                      AlgorithmCase{"rmts_light_coarse", &make_light_coarse, 0.8},
-                      AlgorithmCase{"rmts_ll", &make_rmts_ll, 0.85},
-                      AlgorithmCase{"rmts_hc", &make_rmts_hc, 0.85},
-                      AlgorithmCase{"prm_bfd", &make_prm_bf, 0.7},
-                      AlgorithmCase{"prm_wf_rm", &make_prm_wf_rm, 0.7}),
+    ::testing::Values(
+        AlgorithmCase{kLabels.label("rmts_light"), &make_light, 0.8},
+        AlgorithmCase{kLabels.label("rmts_light_ff"), &make_light_ff, 0.8},
+        AlgorithmCase{kLabels.label("rmts_light_coarse"), &make_light_coarse, 0.8},
+        AlgorithmCase{kLabels.label("rmts_ll"), &make_rmts_ll, 0.85},
+        AlgorithmCase{kLabels.label("rmts_hc"), &make_rmts_hc, 0.85},
+        AlgorithmCase{kLabels.label("prm_bfd"), &make_prm_bf, 0.7},
+        AlgorithmCase{kLabels.label("prm_wf_rm"), &make_prm_wf_rm, 0.7}),
     [](const ::testing::TestParamInfo<AlgorithmCase>& param_info) {
       return param_info.param.label;
     });

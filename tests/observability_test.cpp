@@ -8,13 +8,17 @@
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bounds/harmonic.hpp"
 #include "common/trace.hpp"
 #include "online/session.hpp"
+#include "partition/rmts.hpp"
 #include "partition/rmts_light.hpp"
 #include "server/client.hpp"
 #include "server/json.hpp"
@@ -152,6 +156,47 @@ TEST(Trace, PartitionSplitAdvancesOnSplittingRun) {
   EXPECT_NE(reply.find("stages")->find("partition_split"), nullptr);
   EXPECT_NE(router.metrics_exposition().find("stage=\"partition_split\""),
             std::string::npos);
+}
+
+TEST(Trace, AdmissionCacheHitCountsCommittedResponses) {
+  if (!trace::compiled_in()) GTEST_SKIP() << "tracing compiled out";
+  const auto hits = [](const trace::Snapshot& snap) {
+    return snap.counter(trace::Counter::kAdmissionCacheHit);
+  };
+  const auto misses = [](const trace::Snapshot& snap) {
+    return snap.counter(trace::Counter::kAdmissionCacheMiss);
+  };
+  // The admit benchmark's shape: N=16 tasks at U=0.15 each on M=4
+  // (U_M = 0.6).  Every accepted placement commits the responses its probe
+  // converged to, so almost nothing is left for a warm pass.
+  std::vector<std::pair<Time, Time>> pairs;
+  for (Time i = 0; i < 16; ++i) {
+    const Time period = 100 + 37 * i;
+    pairs.emplace_back(period * 3 / 20, period);
+  }
+  const TaskSet tasks = TaskSet::from_pairs(pairs);
+  const trace::Snapshot before = trace::snapshot();
+  const Assignment assignment =
+      Rmts(std::make_shared<HarmonicChainBound>()).partition(tasks, 4);
+  const trace::Snapshot batch = trace::snapshot();
+  ASSERT_TRUE(assignment.success);
+  const std::uint64_t batch_hits = hits(batch) - hits(before);
+  const std::uint64_t batch_misses = misses(batch) - misses(before);
+  EXPECT_GE(batch_hits, tasks.size());
+  EXPECT_GT(static_cast<double>(batch_hits) /
+                static_cast<double>(batch_hits + batch_misses),
+            0.9)
+      << batch_hits << " hits, " << batch_misses << " misses";
+
+  online::SessionConfig config;
+  config.processors = 2;
+  online::PartitionSession session(config);
+  ASSERT_TRUE(session.admit(2, 10).admitted);
+  ASSERT_TRUE(session.admit(3, 20).admitted);
+  ASSERT_TRUE(session.admit(4, 40).admitted);
+  EXPECT_GE(hits(trace::snapshot()) - hits(batch), 3u);
+  EXPECT_EQ(trace::counter_name(trace::Counter::kAdmissionCacheHit),
+            "admission_cache_hit");
 }
 
 // ---------------------------------------------------------- exposition --

@@ -34,6 +34,13 @@ struct Theorem8Case {
   std::size_t harmonic_chains;  // only for kHarmonicChains
 };
 
+constexpr testing::LabelPool kLabels = testing::make_label_pool({
+    {0x01, "harmonic"},
+    {0x0A, "chains2"},
+    {0x12, "chains3"},
+    {0x1A, "log_uniform"},
+});
+
 class Theorem8Test : public ::testing::TestWithParam<Theorem8Case> {};
 
 TEST_P(Theorem8Test, LightSetsWithinBoundAlwaysAccepted) {
@@ -81,10 +88,11 @@ TEST_P(Theorem8Test, LightSetsWithinBoundAlwaysAccepted) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, Theorem8Test,
-    ::testing::Values(Theorem8Case{"log_uniform", PeriodModel::kLogUniform, 0},
-                      Theorem8Case{"harmonic", PeriodModel::kHarmonic, 0},
-                      Theorem8Case{"chains2", PeriodModel::kHarmonicChains, 2},
-                      Theorem8Case{"chains3", PeriodModel::kHarmonicChains, 3}),
+    ::testing::Values(
+        Theorem8Case{kLabels.label("log_uniform"), PeriodModel::kLogUniform, 0},
+        Theorem8Case{kLabels.label("harmonic"), PeriodModel::kHarmonic, 0},
+        Theorem8Case{kLabels.label("chains2"), PeriodModel::kHarmonicChains, 2},
+        Theorem8Case{kLabels.label("chains3"), PeriodModel::kHarmonicChains, 3}),
     [](const ::testing::TestParamInfo<Theorem8Case>& param_info) {
       return param_info.param.label;
     });

@@ -53,8 +53,10 @@
 // sets -- including overflow-scale parameters that straddle the 2^31
 // fast-path boundary -- must produce bit-identical analysis outcomes,
 // admission verdicts and response times through kernel_analyze,
-// ProcessorState::fits/fits_batch and kernel_jitter_response, with the
-// SoA mirror staying consistent under any incremental insertion order.
+// ProcessorState::fits/fits_batch/try_add and kernel_jitter_response, with
+// the SoA mirror staying consistent under any incremental insertion order;
+// the responses a fitting kernel_fits commits must equal
+// kernel_response_time on the post-insert set.
 //
 // The `maxsplit` mode differentially fuzzes the scheduling-point MaxSplit
 // against the binary-search oracle: random processors built through
@@ -602,6 +604,71 @@ Subtask random_kernel_subtask(Rng& rng, std::size_t priority,
   return s;
 }
 
+/// Commit-on-fit exactness.  kernel_fits over exact candidate-free seeds
+/// (scalar per-prefix RTA; kTimeInfinity for a miss) with the `committed`
+/// output must, whenever it reports a commit, have stored for every hosted
+/// subtask at or below the candidate exactly its kernel_response_time in
+/// the post-insert set; and ProcessorState::try_add must reproduce the
+/// oracle verdict and leave every response equal to a fresh analysis of
+/// the grown set.
+template <typename Fail>
+void check_commit(const std::vector<Subtask>& subtasks, const RtaSoa& soa,
+                  const Subtask& candidate, bool expected, const Fail& fail) {
+  const std::size_t n = subtasks.size();
+  std::vector<Time> seeds(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto hp = std::span<const Subtask>(subtasks).first(i);
+    const RtaOutcome out =
+        response_time(subtasks[i].wcet, subtasks[i].deadline, hp);
+    seeds[i] = out.schedulable ? out.response : kTimeInfinity;
+  }
+  std::vector<Time> committed(n + 1, -1);
+  const KernelFit verdict = kernel_fits(subtasks, soa, seeds, candidate,
+                                        /*seeds_exact=*/true, committed.data());
+  if (verdict.fits != expected) fail("kernel_fits with output diverged");
+  if (verdict.committed && !verdict.fits) fail("kernel_fits committed a miss");
+
+  const auto pos_it = std::lower_bound(
+      subtasks.begin(), subtasks.end(), candidate,
+      [](const Subtask& a, const Subtask& b) { return a.priority < b.priority; });
+  const auto pos = static_cast<std::size_t>(pos_it - subtasks.begin());
+  std::vector<Subtask> grown = subtasks;
+  grown.insert(grown.begin() + static_cast<std::ptrdiff_t>(pos), candidate);
+  RtaSoa grown_soa;
+  grown_soa.assign(grown);
+  if (verdict.committed) {
+    for (std::size_t i = pos; i < n; ++i) {
+      const RtaOutcome fresh =
+          kernel_response_time(grown, grown_soa, i + 1, grown[i + 1].wcet,
+                               grown[i + 1].deadline, 0);
+      if (!fresh.schedulable || fresh.response != committed[i]) {
+        fail("committed response diverged from kernel_response_time at " +
+             std::to_string(i));
+      }
+    }
+  }
+
+  ProcessorState processor;
+  for (const Subtask& s : subtasks) processor.add(s);
+  if (processor.try_add(candidate) != expected) {
+    fail("try_add() diverged from the scalar oracle");
+  }
+  if (!expected) return;
+  for (std::size_t i = 0; i < grown.size(); ++i) {
+    const RtaOutcome fresh = kernel_response_time(
+        grown, grown_soa, i, grown[i].wcet, grown[i].deadline, 0);
+    // A random host may already miss above the candidate (fits() does not
+    // re-check that prefix); the candidate and everything below it fit.
+    if (!fresh.schedulable) {
+      if (i >= pos) fail("try_add() admitted an unschedulable set");
+      continue;
+    }
+    if (processor.response_time_of(i) != fresh.response) {
+      fail("response after try_add() diverged at " + std::to_string(i));
+    }
+  }
+}
+
 /// Differential fuzz of the SoA kernel against the scalar path.  Returns
 /// the number of violations found.
 std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
@@ -746,6 +813,7 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       if (expected && verdicts[c].response != own.response) {
         fail("fits_batch() candidate response diverged from scalar RTA");
       }
+      check_commit(subtasks, soa, candidates[c], expected, fail);
     }
 
     // (e) The jitter kernel keeps the old robustness loop's exact values.
