@@ -121,9 +121,7 @@ Cell run_cell(bool adaptive, server::LoadConfig load, double warmup_seconds) {
 }
 
 double admit_p99_us(const Cell& cell) {
-  return cell.load
-      .per_op_latency_us[static_cast<std::size_t>(server::OpClass::kAdmit)]
-      .quantile(0.99);
+  return cell.load.per_op_latency_us[server::op_id("admit")].quantile(0.99);
 }
 
 }  // namespace

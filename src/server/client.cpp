@@ -222,10 +222,6 @@ std::string Client::read_reply() {
   }
 }
 
-void Client::shutdown_write() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 namespace {
 
 void write_common(JsonWriter& w, std::string_view op, std::size_t processors,

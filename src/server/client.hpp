@@ -115,12 +115,6 @@ class Client {
   /// Blocks for the next complete reply line.
   std::string read_reply();
 
-  /// Half-closes the write side so the server sees EOF and, once every
-  /// pending reply is flushed, closes the connection.
-  void shutdown_write() noexcept;
-
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
-
  private:
   int fd_{-1};
   std::string buffer_;  ///< Bytes received beyond the last returned line.

@@ -15,6 +15,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "server/client.hpp"
+#include "server/json.hpp"
+#include "server/overload.hpp"
 #include "tasks/task_set.hpp"
 #include "workload/generators.hpp"
 
@@ -27,31 +29,44 @@ using Clock = std::chrono::steady_clock;
 /// One op's pre-encoded request strings (one per pooled task set; stats
 /// needs only one but keeps the same shape for uniform indexing).
 struct OpRequests {
-  OpClass cls{OpClass::kAdmit};
+  std::size_t op{0};  ///< op id (server/ops.hpp)
   double weight{0.0};
   std::vector<std::string> lines;
 };
 
-/// Replies are rendered by JsonWriter without whitespace, so exact
-/// substring probes are reliable (and far cheaper than parsing).
-bool contains(const std::string& reply, std::string_view needle) {
-  return reply.find(needle) != std::string::npos;
+/// The op a request line names, as the server's own peek reads it.
+std::size_t op_of(std::string_view line) noexcept {
+  return slot_of(peek_request(line).op);
 }
 
 enum class ReplyKind { kOk, kShed, kExpired, kError };
 
-ReplyKind classify(const std::string& reply, OpClass cls, LoadReport& report) {
-  if (contains(reply, "\"ok\":true")) {
+/// Counts one reply of op `op` by its top-level "ok", "accepted" and
+/// "error" keys, read through the tape parser, so a nested object or a
+/// string value holding a key name cannot decoy it.
+ReplyKind classify(std::string_view reply, std::size_t op,
+                   LoadReport& report) {
+  thread_local JsonValue doc;
+  std::string parse_error;
+  const bool parsed = json_parse(reply, doc, parse_error) && doc.is_object();
+  const auto is_true = [&](std::string_view key) {
+    const JsonValue* value = parsed ? doc.find(key) : nullptr;
+    return value != nullptr && value->is_bool() && value->as_bool();
+  };
+  if (is_true("ok")) {
     ++report.ok;
-    ++report.per_op_ok[static_cast<std::size_t>(cls)];
-    if (contains(reply, "\"accepted\":true")) ++report.accepted;
+    ++report.per_op_ok[op];
+    if (is_true("accepted")) ++report.accepted;
     return ReplyKind::kOk;
   }
-  if (contains(reply, "\"error\":\"overloaded\"")) {
+  const JsonValue* error = parsed ? doc.find("error") : nullptr;
+  const std::string_view code =
+      error != nullptr && error->is_string() ? error->as_string() : "";
+  if (code == "overloaded") {
     ++report.shed;
     return ReplyKind::kShed;
   }
-  if (contains(reply, "\"error\":\"deadline_expired\"")) {
+  if (code == "deadline_expired") {
     ++report.expired;
     return ReplyKind::kExpired;
   }
@@ -78,13 +93,41 @@ Picked pick_request(Rng& rng, const std::vector<OpRequests>& ops,
   return p;
 }
 
+/// One closed-loop exchange: sends `line` (retrying sheds when configured),
+/// waits for the reply, and counts it and its latency under op `op`.
+ReplyKind closed_loop_request(Client& client, const LoadConfig& config,
+                              const std::string& line, std::size_t op,
+                              LoadReport& report, std::string& reply) {
+  const auto sent = Clock::now();
+  if (config.retry) {
+    const RetryPolicy policy{config.max_attempts, 10, 2000, 0.3};
+    RetryResult r = client.request_with_retry(line, policy);
+    // Every non-final attempt was answered with a shed.
+    const auto resent = static_cast<std::uint64_t>(r.attempts - 1);
+    report.requests += resent;
+    report.shed += resent;
+    report.retries += resent;
+    reply = std::move(r.reply);
+  } else {
+    reply = client.request(line);
+  }
+  const auto micros = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                            sent)
+          .count());
+  ++report.offered;
+  ++report.requests;
+  report.latency_us.record(micros);
+  report.per_op_latency_us[op].record(micros);
+  return classify(reply, op, report);
+}
+
 /// One connection's session-churn loop: open a private session, then an
 /// admit/depart mix with live-ticket tracking until the deadline.
 void run_session_churn(Client& client, const LoadConfig& config,
                        std::span<const std::pair<Time, Time>> churn_pool,
                        Clock::time_point deadline, LoadReport& report,
                        Rng& pick) {
-  const RetryPolicy policy{config.max_attempts, 10, 2000, 0.3};
   const std::string open_line =
       make_session_open_request(config.processors, /*split=*/true);
   const std::string open_reply = client.request(open_line);
@@ -101,45 +144,21 @@ void run_session_churn(Client& client, const LoadConfig& config,
         !tickets.empty() && pick.uniform() < config.churn_rate;
     std::size_t slot = 0;
     std::string line;
-    OpClass cls;
     if (depart) {
       slot = static_cast<std::size_t>(pick.uniform_int(
           0, static_cast<std::int64_t>(tickets.size()) - 1));
       line = make_session_depart_request(session, tickets[slot], -1,
                                          config.deadline_ms);
-      cls = OpClass::kSessionDepart;
     } else {
       const auto& [wcet, period] = churn_pool[static_cast<std::size_t>(
           pick.uniform_int(0, static_cast<std::int64_t>(churn_pool.size()) -
                                   1))];
       line = make_session_admit_request(session, wcet, period, -1,
                                         config.deadline_ms);
-      cls = OpClass::kSessionAdmit;
     }
-
-    const auto sent = Clock::now();
     std::string reply;
-    if (config.retry) {
-      RetryResult r = client.request_with_retry(line, policy);
-      report.requests += static_cast<std::uint64_t>(
-          r.attempts > 1 ? r.attempts - 1 : 0);
-      report.shed +=
-          static_cast<std::uint64_t>(r.attempts > 1 ? r.attempts - 1 : 0);
-      report.retries += static_cast<std::uint64_t>(r.attempts - 1);
-      reply = std::move(r.reply);
-    } else {
-      reply = client.request(line);
-    }
-    const auto micros = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              sent)
-            .count());
-
-    ++report.offered;
-    ++report.requests;
-    const ReplyKind kind = classify(reply, cls, report);
-    report.latency_us.record(micros);
-    report.per_op_latency_us[static_cast<std::size_t>(cls)].record(micros);
+    const ReplyKind kind =
+        closed_loop_request(client, config, line, op_of(line), report, reply);
 
     // Ticket bookkeeping only moves on an ok reply: a shed/expired admit
     // placed nothing, a shed depart removed nothing.
@@ -248,10 +267,10 @@ void open_loop_receiver(Client& client, const LoadConfig& config,
               .count());
 
       ++report.requests;
-      const OpClass cls = ops[entry.op_index].cls;
-      const ReplyKind kind = classify(reply, cls, report);
+      const std::size_t op = ops[entry.op_index].op;
+      const ReplyKind kind = classify(reply, op, report);
       report.latency_us.record(micros);
-      report.per_op_latency_us[static_cast<std::size_t>(cls)].record(micros);
+      report.per_op_latency_us[op].record(micros);
 
       if (kind == ReplyKind::kShed && config.retry &&
           entry.attempt < std::max(config.max_attempts, 1)) {
@@ -339,19 +358,6 @@ void open_loop_sender(Client& client, ArrivalProcess& arrivals,
 
 }  // namespace
 
-std::string_view op_class_name(OpClass op) noexcept {
-  switch (op) {
-    case OpClass::kAdmit: return "admit";
-    case OpClass::kAnalyze: return "analyze";
-    case OpClass::kRobustness: return "robustness";
-    case OpClass::kSimulate: return "simulate";
-    case OpClass::kStats: return "stats";
-    case OpClass::kSessionAdmit: return "session_admit";
-    case OpClass::kSessionDepart: return "session_depart";
-  }
-  return "unknown";
-}
-
 void LoadReport::merge(const LoadReport& other) {
   requests += other.requests;
   offered += other.offered;
@@ -366,7 +372,7 @@ void LoadReport::merge(const LoadReport& other) {
     elapsed_seconds = other.elapsed_seconds;
   }
   latency_us.merge(other.latency_us);
-  for (std::size_t op = 0; op < kOpClassCount; ++op) {
+  for (std::size_t op = 0; op < kOpCount; ++op) {
     per_op_ok[op] += other.per_op_ok[op];
     per_op_latency_us[op].merge(other.per_op_latency_us[op]);
   }
@@ -423,35 +429,34 @@ LoadReport run_load(const LoadConfig& config) {
   }
 
   std::vector<OpRequests> ops;
-  const auto add_op = [&](OpClass cls, double weight, auto&& encode) {
+  const auto add_op = [&](double weight, auto&& encode) {
     if (config.session) return;  // the churn loop builds its own requests
     if (weight <= 0.0) return;
     OpRequests op;
-    op.cls = cls;
     op.weight = weight;
     op.lines.reserve(pool.size());
     for (const TaskSet& tasks : pool) op.lines.push_back(encode(tasks));
+    op.op = op_of(op.lines.front());
     ops.push_back(std::move(op));
   };
-  add_op(OpClass::kAdmit, config.mix.admit, [&](const TaskSet& tasks) {
+  add_op(config.mix.admit, [&](const TaskSet& tasks) {
     return make_admit_request(config.processors, tasks, config.algorithm,
                               config.bound, -1, config.deadline_ms);
   });
-  add_op(OpClass::kAnalyze, config.mix.analyze, [&](const TaskSet& tasks) {
+  add_op(config.mix.analyze, [&](const TaskSet& tasks) {
     return make_analyze_request(config.processors, tasks, config.algorithm,
                                 config.bound, -1, config.deadline_ms);
   });
-  add_op(OpClass::kRobustness, config.mix.robustness,
-         [&](const TaskSet& tasks) {
+  add_op(config.mix.robustness, [&](const TaskSet& tasks) {
     return make_robustness_request(config.processors, tasks, config.algorithm,
                                    config.bound, 0.0, 0, -1,
                                    config.deadline_ms);
   });
-  add_op(OpClass::kSimulate, config.mix.simulate, [&](const TaskSet& tasks) {
+  add_op(config.mix.simulate, [&](const TaskSet& tasks) {
     return make_simulate_request(config.processors, tasks, config.algorithm,
                                  config.bound, -1, config.deadline_ms);
   });
-  add_op(OpClass::kStats, config.mix.stats,
+  add_op(config.mix.stats,
          [&](const TaskSet&) { return make_stats_request(); });
   if (ops.empty() && !config.session) {
     throw InvalidConfigError("run_load: the op mix is empty");
@@ -500,38 +505,12 @@ LoadReport run_load(const LoadConfig& config) {
           receiver.join();
           local.merge(recv_report);
         } else {
-          const RetryPolicy policy{config.max_attempts, 10, 2000, 0.3};
           while (Clock::now() < deadline) {
             const Picked p = pick_request(pick, ops, total_weight);
-            const std::string& line = ops[p.op_index].lines[p.line_index];
-            const OpClass cls = ops[p.op_index].cls;
-
-            const auto sent = Clock::now();
             std::string reply;
-            if (config.retry) {
-              RetryResult r = client.request_with_retry(line, policy);
-              // Every non-final attempt was answered with a shed.
-              local.requests +=
-                  static_cast<std::uint64_t>(r.attempts > 1 ? r.attempts - 1
-                                                            : 0);
-              local.shed += static_cast<std::uint64_t>(
-                  r.attempts > 1 ? r.attempts - 1 : 0);
-              local.retries += static_cast<std::uint64_t>(r.attempts - 1);
-              reply = std::move(r.reply);
-            } else {
-              reply = client.request(line);
-            }
-            const auto micros = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    Clock::now() - sent)
-                    .count());
-
-            ++local.offered;
-            ++local.requests;
-            classify(reply, cls, local);
-            local.latency_us.record(micros);
-            local.per_op_latency_us[static_cast<std::size_t>(cls)].record(
-                micros);
+            (void)closed_loop_request(client, config,
+                                      ops[p.op_index].lines[p.line_index],
+                                      ops[p.op_index].op, local, reply);
           }
         }
       } catch (const TransportError& e) {

@@ -31,26 +31,11 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "common/histogram.hpp"
+#include "server/ops.hpp"
 
 namespace rmts::server {
-
-/// Operation classes of the generated mix, used to key per-op latency
-/// reporting in LoadReport.
-enum class OpClass : std::uint8_t {
-  kAdmit,
-  kAnalyze,
-  kRobustness,
-  kSimulate,
-  kStats,
-  kSessionAdmit,   ///< session churn mode: one task admitted by ticket
-  kSessionDepart,  ///< session churn mode: one resident ticket departed
-};
-inline constexpr std::size_t kOpClassCount = 7;
-
-[[nodiscard]] std::string_view op_class_name(OpClass op) noexcept;
 
 /// Relative frequencies of the operations in the generated mix; zero
 /// disables an op.  The default is the pure-admit mix E18 sweeps.
@@ -101,8 +86,8 @@ struct LoadConfig {
   /// long-lived session (session_open, m = `processors`) and drives an
   /// admit/depart mix against it, tracking the tickets of its live
   /// residents so departs always name a real one.  The `mix` field is
-  /// ignored in this mode; per-op tables report kSessionAdmit /
-  /// kSessionDepart instead.
+  /// ignored in this mode; per-op tables report session_admit /
+  /// session_depart instead.
   bool session{false};
   /// Fraction of churn ops that are departures (the rest admit).  0 keeps
   /// a grow-only session; 0.5 holds the resident count roughly steady.
@@ -125,13 +110,14 @@ struct LoadReport {
   std::uint64_t errors{0};
   std::uint64_t transport_errors{0};
   double elapsed_seconds{0.0};
-  /// ok replies split by operation class (goodput accounting: the bench
-  /// cares whether the *admit* class kept completing during overload).
-  std::array<std::uint64_t, kOpClassCount> per_op_ok{};
+  /// ok replies split by op, indexed by op id (server/ops.hpp) -- goodput
+  /// accounting: the bench cares whether *admit* kept completing during
+  /// overload.
+  std::array<std::uint64_t, kOpCount> per_op_ok{};
   /// HDR latency sketch over every reply (default precision, 2^-5).
   Histogram latency_us;
-  /// Same, split by operation class (empty for ops not in the mix).
-  std::array<Histogram, kOpClassCount> per_op_latency_us{};
+  /// Same, split by op id (empty for ops not in the mix).
+  std::array<Histogram, kOpCount> per_op_latency_us{};
 
   [[nodiscard]] double qps() const noexcept {
     return elapsed_seconds > 0.0

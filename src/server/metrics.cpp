@@ -2,31 +2,16 @@
 
 namespace rmts::server {
 
-std::string_view endpoint_name(Endpoint endpoint) noexcept {
-  switch (endpoint) {
-    case Endpoint::kAdmit: return "admit";
-    case Endpoint::kAdmitBatch: return "admit_batch";
-    case Endpoint::kAnalyze: return "analyze";
-    case Endpoint::kRobustness: return "robustness";
-    case Endpoint::kSimulate: return "simulate";
-    case Endpoint::kSession: return "session";
-    case Endpoint::kStats: return "stats";
-    case Endpoint::kMetrics: return "metrics";
-    case Endpoint::kMalformed: return "malformed";
-  }
-  return "unknown";
-}
-
-void Metrics::record(Endpoint endpoint, bool error,
+void Metrics::record(std::size_t slot, bool error,
                      std::uint64_t micros) noexcept {
-  PerEndpoint& e = endpoints_[static_cast<std::size_t>(endpoint)];
+  PerEndpoint& e = endpoints_[slot];
   e.requests.fetch_add(1, std::memory_order_relaxed);
   if (error) e.errors.fetch_add(1, std::memory_order_relaxed);
   e.latency_us.record(micros);
 }
 
-Metrics::EndpointSnapshot Metrics::snapshot(Endpoint endpoint) const {
-  const PerEndpoint& e = endpoints_[static_cast<std::size_t>(endpoint)];
+Metrics::EndpointSnapshot Metrics::snapshot(std::size_t slot) const {
+  const PerEndpoint& e = endpoints_[slot];
   EndpointSnapshot out;
   out.requests = e.requests.load(std::memory_order_relaxed);
   out.errors = e.errors.load(std::memory_order_relaxed);

@@ -1,4 +1,4 @@
-// Per-endpoint service metrics: request/error counters and a concurrent
+// Per-op service metrics: request/error counters and a concurrent
 // log-linear HDR latency histogram (common/histogram.hpp), surfaced by
 // the `stats` endpoint (interpolated quantiles) and the `metrics`
 // endpoint (Prometheus-style exposition).
@@ -16,34 +16,18 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string_view>
 
 #include "common/histogram.hpp"
+#include "server/ops.hpp"
 
 namespace rmts::server {
 
-/// The service's endpoints plus a bucket for lines that never parsed far
-/// enough to name one.
-enum class Endpoint : std::uint8_t {
-  kAdmit,
-  kAdmitBatch,
-  kAnalyze,
-  kRobustness,
-  kSimulate,
-  kSession,  ///< all session_* ops (open/admit/depart/rebalance/stats/close)
-  kStats,
-  kMetrics,
-  kMalformed,
-};
-inline constexpr std::size_t kEndpointCount = 9;
-
-[[nodiscard]] std::string_view endpoint_name(Endpoint endpoint) noexcept;
-
 class Metrics {
  public:
-  /// Records one handled request: outcome and end-to-end latency (queue
-  /// wait + compute) in microseconds.  Thread-safe, O(1).
-  void record(Endpoint endpoint, bool error, std::uint64_t micros) noexcept;
+  /// Records one handled request in `slot` (an op id, or kMalformedSlot):
+  /// outcome and end-to-end latency (queue wait + compute) in
+  /// microseconds.  Thread-safe, O(1).
+  void record(std::size_t slot, bool error, std::uint64_t micros) noexcept;
 
   struct EndpointSnapshot {
     std::uint64_t requests{0};
@@ -59,9 +43,9 @@ class Metrics {
     Histogram latency_us{AtomicHistogram::kSubBits};
   };
 
-  [[nodiscard]] EndpointSnapshot snapshot(Endpoint endpoint) const;
+  [[nodiscard]] EndpointSnapshot snapshot(std::size_t slot) const;
 
-  /// Total requests over all endpoints.
+  /// Total requests over all slots.
   [[nodiscard]] std::uint64_t total_requests() const noexcept;
 
  private:
@@ -71,7 +55,7 @@ class Metrics {
     AtomicHistogram latency_us;
   };
 
-  std::array<PerEndpoint, kEndpointCount> endpoints_{};
+  std::array<PerEndpoint, kMetricsSlotCount> endpoints_{};
 };
 
 }  // namespace rmts::server

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "server/json.hpp"
+#include "server/ops.hpp"
 
 namespace rmts::server {
 
@@ -59,23 +60,6 @@ std::string_view budget_class_name(BudgetClass cls) noexcept {
     case BudgetClass::kSession: return "session";
   }
   return "unknown";
-}
-
-bool budget_class_of(Endpoint endpoint, BudgetClass& out) noexcept {
-  switch (endpoint) {
-    case Endpoint::kAdmit: out = BudgetClass::kAdmit; return true;
-    // A batch is admission work: it shares the admit budget so a flood of
-    // batches cannot starve single-probe clients of their own class.
-    case Endpoint::kAdmitBatch: out = BudgetClass::kAdmit; return true;
-    case Endpoint::kAnalyze: out = BudgetClass::kAnalyze; return true;
-    case Endpoint::kRobustness: out = BudgetClass::kRobustness; return true;
-    case Endpoint::kSimulate: out = BudgetClass::kSimulate; return true;
-    case Endpoint::kSession: out = BudgetClass::kSession; return true;
-    case Endpoint::kStats:
-    case Endpoint::kMetrics:
-    case Endpoint::kMalformed: return false;
-  }
-  return false;
 }
 
 OverloadController::OverloadController(OverloadConfig config)
@@ -159,6 +143,7 @@ RequestPeek peek_request(std::string_view line) noexcept {
   if (pos >= line.size() || line[pos] != '{') return peek;
   ++pos;
   int depth = 1;
+  bool op_seen = false;
   while (pos < line.size() && depth > 0) {
     const char c = line[pos];
     if (c == '{' || c == '[') {
@@ -183,31 +168,16 @@ RequestPeek peek_request(std::string_view line) noexcept {
     if (value == std::string_view::npos) continue;  // a value, not a key
     pos = value;
     if (body == "op") {
-      if (pos < line.size() && line[pos] == '"') {
+      // The router reads the first "op" key, so the peek does too: a
+      // later duplicate cannot move the line out of its class budget.
+      if (!op_seen && pos < line.size() && line[pos] == '"') {
         std::string_view op;
         const std::size_t end = scan_string(line, pos, op);
         if (end == std::string_view::npos) return peek;
         pos = end;
-        if (op == "admit" || op == "admit_batch") {
-          peek.cls = BudgetClass::kAdmit;
-          peek.budgeted = true;
-        } else if (op == "analyze") {
-          peek.cls = BudgetClass::kAnalyze;
-          peek.budgeted = true;
-        } else if (op == "robustness") {
-          peek.cls = BudgetClass::kRobustness;
-          peek.budgeted = true;
-        } else if (op == "simulate") {
-          peek.cls = BudgetClass::kSimulate;
-          peek.budgeted = true;
-        } else if (op.starts_with("session_")) {
-          // All session ops share one budget; even session_stats takes the
-          // per-session mutex, so it queues behind mutations anyway.
-          peek.cls = BudgetClass::kSession;
-          peek.budgeted = true;
-        }
-        // stats / metrics / anything else: un-budgeted.
+        peek.op = find_op(op);
       }
+      op_seen = true;
     } else if (body == "deadline_ms") {
       std::int64_t value_ms = 0;
       bool any = false;

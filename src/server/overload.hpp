@@ -31,7 +31,8 @@
 //    clients back off for roughly as long as the congestion will last
 //    instead of hammering a saturated server (client.hpp honors it);
 //  * peek_request(line) -- a cheap single-pass scan of a decoded line for
-//    its op class and optional "deadline_ms" field.  The event loop must
+//    its op (the row of server/ops.hpp, which names the op's budget
+//    class) and optional "deadline_ms" field.  The event loop must
 //    classify BEFORE dispatch (the real JSON parse happens on a worker),
 //    so the peek does not validate -- but it IS anchored to top-level
 //    keys (it tracks nesting depth and tokenizes strings), because a
@@ -46,13 +47,12 @@
 #include <string>
 #include <string_view>
 
-#include "server/metrics.hpp"
-
 namespace rmts::server {
 
-/// Op classes that consume worker budget.  stats/metrics/malformed stay
-/// un-budgeted: they are control-plane traffic an operator needs MOST
-/// while the server is overloaded, and they cost microseconds.
+struct OpSpec;  // server/ops.hpp
+
+/// Op classes that consume worker budget; each op's row in server/ops.hpp
+/// names its class.  stats/metrics/malformed stay un-budgeted.
 enum class BudgetClass : std::uint8_t {
   kAdmit,
   kAnalyze,
@@ -63,10 +63,6 @@ enum class BudgetClass : std::uint8_t {
 inline constexpr std::size_t kBudgetClassCount = 5;
 
 [[nodiscard]] std::string_view budget_class_name(BudgetClass cls) noexcept;
-
-/// Endpoint -> budget class; false for un-budgeted endpoints.
-[[nodiscard]] bool budget_class_of(Endpoint endpoint,
-                                   BudgetClass& out) noexcept;
 
 struct OverloadConfig {
   /// false = budgets stay at their initial values (the static-cap
@@ -147,18 +143,17 @@ class OverloadController {
 
 /// What the event loop can learn about a request without parsing it.
 struct RequestPeek {
-  /// Budgeted class when `budgeted`; otherwise the line is control-plane
-  /// (stats/metrics) or unclassifiable and bypasses class budgets.
-  BudgetClass cls{BudgetClass::kAdmit};
-  bool budgeted{false};
+  /// The op's row, or nullptr when the line names no known op; only a
+  /// row with a budget class is held to a class budget.
+  const OpSpec* op{nullptr};
   /// Client deadline in milliseconds from arrival; 0 = none.
   std::int64_t deadline_ms{0};
 };
 
 /// Single-pass scan for the top-level `"op"` and `"deadline_ms"` keys
 /// (depth-anchored: occurrences inside string values or nested containers
-/// never match).  Never throws; a line it cannot read returns an
-/// un-budgeted peek.
+/// never match), looking the op up in kOps.  Never throws; a line it
+/// cannot read returns a peek with no op.
 [[nodiscard]] RequestPeek peek_request(std::string_view line) noexcept;
 
 /// Renders {"ok":false,"error":"overloaded","retry_after_ms":N} (no

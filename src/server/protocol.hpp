@@ -5,14 +5,25 @@
 // "error" (string).  Successful replies echo the request's "op" and, when
 // present, its scalar "id" (so clients can pipeline).
 //
-// Requests (fields beyond "op" and "id"):
-//   admit      m, tasks, [alg], [bound], [deadline_ms]
-//   analyze    m, tasks, [alg], [bound], [deadline_ms]
-//   robustness m, tasks, [alg], [bound], [max_factor], [fault_seed],
-//              [deadline_ms]
-//   simulate   m, tasks, [alg], [bound], [horizon_cap], [faults{...}],
-//              [deadline_ms]
-//   stats      (none)
+// Requests (fields beyond "op" and "id"; server/ops.hpp is the table of
+// ops the server dispatches):
+//   admit             m, tasks, [alg], [bound], [deadline_ms]
+//   admit_batch       items[{tasks, [m], [alg], [bound]}], [m], [alg],
+//                     [bound], [deadline_ms]
+//   analyze           m, tasks, [alg], [bound], [deadline_ms]
+//   robustness        m, tasks, [alg], [bound], [max_factor], [fault_seed],
+//                     [deadline_ms]
+//   simulate          m, tasks, [alg], [bound], [horizon_cap], [faults{...}],
+//                     [deadline_ms]
+//   session_open      m, [split], [granularity], [rebalance_every],
+//                     [max_migrations], [hysteresis], [max_resident]
+//   session_admit     session, wcet, period
+//   session_depart    session, ticket
+//   session_rebalance session
+//   session_stats     session
+//   session_close     session
+//   stats             (none)
+//   metrics           (none)
 // where
 //   m      processors (int >= 1),
 //   tasks  [[wcet, period], ...] in ticks (ints; RM order is derived),

@@ -219,164 +219,9 @@ void write_assignment_summary(JsonWriter& w, const Assignment& assignment) {
   }
 }
 
-void handle_admit(JsonWriter& w, const JsonValue& request,
-                  const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  // RM-TS reports the bound its partition() evaluated, not a second one.
-  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm);
-  double guaranteed = 0.0;
-  const Assignment assignment =
-      rmts != nullptr ? rmts->partition(p.tasks, p.processors, guaranteed)
-                      : p.algorithm->partition(p.tasks, p.processors);
-  w.member("algorithm", p.algorithm->name());
-  write_task_set_summary(w, p.tasks, p.processors);
-  if (rmts != nullptr) w.member("guaranteed_bound", guaranteed);
-  write_assignment_summary(w, assignment);
-}
 
-/// Batched admission: one request carrying many task sets, amortizing
-/// parse/dispatch/reply framing over the whole probe group (the client
-///-side analogue of the SoA kernel's rta_batch_fits, which the admission
-/// path under each item's partition() runs on).  Top-level m/alg/bound
-/// are defaults each item may override; a bad item yields a per-item
-/// ok:false entry without failing its siblings.
-void handle_admit_batch(JsonWriter& w, const JsonValue& request,
-                        const RouterConfig& config) {
-  const JsonValue& items = require(request, "items");
-  if (!items.is_array()) reject("field 'items' must be an array");
-  if (items.items().empty()) reject("field 'items' must not be empty");
-  if (items.items().size() > config.max_batch_items) {
-    reject("too many items (limit " + std::to_string(config.max_batch_items) +
-           ")");
-  }
-  const std::int64_t default_m =
-      optional_int(request, "m", 0, 1,
-                   static_cast<std::int64_t>(config.max_processors));
-  const std::string_view default_alg = optional_string(request, "alg", "rmts");
-  const std::string_view default_bound =
-      optional_string(request, "bound", "hc");
 
-  std::size_t accepted = 0;
-  w.key("items");
-  w.begin_array();
-  for (const JsonValue& item : items.items()) {
-    w.begin_object();
-    try {
-      if (!item.is_object()) reject("each item must be an object");
-      const std::int64_t m =
-          optional_int(item, "m", default_m, 1,
-                       static_cast<std::int64_t>(config.max_processors));
-      if (m == 0) reject("missing field 'm' (item or request level)");
-      const TaskSet tasks = parse_tasks(item, config.max_tasks);
-      const std::string_view alg = optional_string(item, "alg", default_alg);
-      const std::string_view bound =
-          optional_string(item, "bound", default_bound);
-      const Partitioner& algorithm = make_algorithm(alg, bound_index(bound));
-      const auto processors = static_cast<std::size_t>(m);
-      const Assignment assignment = algorithm.partition(tasks, processors);
-      w.member("ok", true);
-      w.member("algorithm", algorithm.name());
-      write_task_set_summary(w, tasks, processors);
-      write_assignment_summary(w, assignment);
-      if (assignment.success) ++accepted;
-    } catch (const ProtocolError& error) {
-      w.member("ok", false);
-      w.member("error", error.message);
-    } catch (const Error& error) {
-      w.member("ok", false);
-      w.member("error", std::string_view(error.what()));
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.member("accepted_count", accepted);
-}
 
-void handle_analyze(JsonWriter& w, const JsonValue& request,
-                    const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  write_task_set_summary(w, p.tasks, p.processors);
-  w.member("harmonic", p.tasks.is_harmonic());
-  w.member("max_task_utilization", p.tasks.max_utilization());
-
-  // Per-bound utilization thresholds, all evaluated on the ORIGINAL set
-  // (re-evaluating on partitions would be unsound -- bounds/bound.hpp).
-  w.key("bounds");
-  w.begin_object();
-  for (const BoundPtr& bound : catalog().bounds) {
-    w.member(bound->name(), bound->evaluate(p.tasks));
-  }
-  w.end_object();
-  w.member("light_threshold", light_task_threshold(p.tasks.size()));
-  w.member("rmts_cap", rmts_bound_cap(p.tasks.size()));
-  w.member("light",
-           p.tasks.all_lighter_than(light_task_threshold(p.tasks.size())));
-
-  // RTA detail of the requested algorithm's partition: every subtask's
-  // measured response time against its synthetic deadline.
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.key("rta");
-  w.begin_object();
-  w.member("algorithm", p.algorithm->name());
-  write_assignment_summary(w, assignment);
-  if (assignment.success && p.policy == DispatchPolicy::kFixedPriority) {
-    w.key("processors");
-    w.begin_array();
-    for (const ProcessorAssignment& proc : assignment.processors) {
-      w.begin_object();
-      w.member("utilization", proc.utilization());
-      const ProcessorRta rta = analyze_processor(proc.subtasks);
-      w.key("subtasks");
-      w.begin_array();
-      for (std::size_t s = 0; s < proc.subtasks.size(); ++s) {
-        const Subtask& subtask = proc.subtasks[s];
-        w.begin_object();
-        w.member("task", static_cast<std::uint64_t>(subtask.task_id));
-        w.member("part", static_cast<std::int64_t>(subtask.part));
-        w.member("wcet", subtask.wcet);
-        w.member("period", subtask.period);
-        w.member("deadline", subtask.deadline);
-        w.member("response",
-                 s < rta.response.size() ? rta.response[s] : Time{0});
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-  }
-  w.end_object();
-}
-
-void handle_robustness(JsonWriter& w, const JsonValue& request,
-                       const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  RobustnessConfig robustness;
-  robustness.horizon_cap = config.sim_horizon_cap;
-  robustness.policy = p.policy;
-  robustness.fault_seed = static_cast<std::uint64_t>(optional_int(
-      request, "fault_seed", 1, 1, std::numeric_limits<std::int64_t>::max()));
-  robustness.max_overrun_factor = optional_double(
-      request, "max_factor", 4.0, 1.0, config.max_overrun_factor);
-  robustness.max_release_jitter = optional_int(
-      request, "max_jitter", 0, 0, std::numeric_limits<std::int64_t>::max() / 2);
-
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.member("algorithm", p.algorithm->name());
-  write_task_set_summary(w, p.tasks, p.processors);
-  w.member("accepted", assignment.success);
-  if (!assignment.success) return;
-
-  const RobustnessReport report =
-      analyze_robustness(p.tasks, assignment, robustness);
-  w.member("simulated_overrun_margin", report.simulated_overrun_margin);
-  w.member("simulated_jitter_margin", report.simulated_jitter_margin);
-  w.member("analytic_supported", report.analytic_supported);
-  if (report.analytic_supported) {
-    w.member("analytic_overrun_margin", report.analytic_overrun_margin);
-    w.member("analytic_jitter_margin", report.analytic_jitter_margin);
-  }
-}
 
 ContainmentPolicy parse_containment(std::string_view name) {
   if (name == "none") return ContainmentPolicy::kNone;
@@ -409,64 +254,6 @@ FaultModel parse_faults(const JsonValue& request) {
   return faults;
 }
 
-void handle_simulate(JsonWriter& w, const JsonValue& request,
-                     const RouterConfig& config) {
-  const PartitionRequest p = parse_partition_request(request, config);
-  SimConfig sim;
-  sim.policy = p.policy;
-  sim.faults = parse_faults(request);
-  sim.stop_at_first_miss = false;
-  const Time cap = optional_int(request, "horizon_cap", config.sim_horizon_cap,
-                                1, config.sim_horizon_cap);
-  sim.horizon = recommended_horizon(p.tasks, cap);
-
-  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
-  w.member("algorithm", p.algorithm->name());
-  write_task_set_summary(w, p.tasks, p.processors);
-  w.member("accepted", assignment.success);
-  if (!assignment.success) return;
-
-  // One workspace per worker thread: repeated simulate requests on a
-  // connection reuse it allocation-free (the PR 3 hot path).
-  thread_local SimWorkspace workspace;
-  const SimResult& run = simulate(p.tasks, assignment, sim, workspace);
-  w.member("schedulable", run.schedulable);
-  w.member("simulated_until", run.simulated_until);
-  w.member("events", run.events);
-  w.member("jobs_released", run.jobs_released);
-  w.member("jobs_completed", run.jobs_completed);
-  w.member("preemptions", run.preemptions);
-  w.member("migrations", run.migrations);
-  w.member("misses", run.misses.size());
-  if (!run.misses.empty()) {
-    constexpr std::size_t kMaxEchoedMisses = 8;
-    w.key("first_misses");
-    w.begin_array();
-    for (std::size_t i = 0; i < run.misses.size() && i < kMaxEchoedMisses; ++i) {
-      w.begin_object();
-      w.member("task", static_cast<std::uint64_t>(run.misses[i].task));
-      w.member("release", run.misses[i].release);
-      w.member("deadline", run.misses[i].deadline);
-      w.end_object();
-    }
-    w.end_array();
-  }
-  if (sim.faults.active()) {
-    w.member("degraded", run.jobs_degraded);
-    w.member("aborted", run.jobs_aborted);
-    w.member("demoted", run.jobs_demoted);
-    w.member("orphaned", run.subtasks_orphaned);
-  }
-}
-
-// ------------------------------------------------- online sessions ------
-//
-// The session_* ops expose src/online/ over the wire: a session_open
-// creates a long-lived PartitionSession in the router's registry; admit /
-// depart / rebalance mutate it under its per-session mutex.  Rejections
-// ("no placement passes exact RTA", unknown ticket) are normal ok:true
-// replies, mirroring the batch admit's accepted:false philosophy; only
-// unparseable requests and unknown session ids are errors.
 
 online::SessionConfig parse_session_config(const JsonValue& request,
                                            const RouterConfig& config) {
@@ -493,19 +280,6 @@ online::SessionConfig parse_session_config(const JsonValue& request,
   return session;
 }
 
-void handle_session_open(JsonWriter& w, const JsonValue& request,
-                         const RouterConfig& config,
-                         online::SessionRegistry& sessions) {
-  const online::SessionConfig session = parse_session_config(request, config);
-  const online::SessionId id = sessions.open(session);
-  if (id == 0) {
-    reject("too many open sessions (limit " +
-           std::to_string(config.max_sessions) + ")");
-  }
-  w.member("session", id);
-  w.member("processors", session.processors);
-  w.member("max_resident", session.max_resident);
-}
 
 /// Locks the session named by the request's required `session` field;
 /// rejects when the id is unknown (or already closed).
@@ -519,41 +293,8 @@ online::SessionRegistry::Handle lock_session(
   return handle;
 }
 
-void handle_session_admit(JsonWriter& w, const JsonValue& request,
-                          const online::SessionRegistry& sessions) {
-  const std::int64_t wcet =
-      require_int(request, "wcet", 1, online::PartitionSession::kMaxPeriod);
-  const std::int64_t period =
-      require_int(request, "period", 1, online::PartitionSession::kMaxPeriod);
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
-  const online::AdmitResult result = handle.session().admit(wcet, period);
-  w.member("accepted", result.admitted);
-  if (result.admitted) {
-    w.member("ticket", result.ticket);
-    w.member("parts", result.parts);
-  } else {
-    w.member("reason", result.reason);
-  }
-}
 
-void handle_session_depart(JsonWriter& w, const JsonValue& request,
-                           const online::SessionRegistry& sessions) {
-  const std::int64_t ticket = require_int(
-      request, "ticket", 1, std::numeric_limits<std::int64_t>::max());
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
-  const bool departed =
-      handle.session().depart(static_cast<online::Ticket>(ticket));
-  w.member("departed", departed);
-}
 
-void handle_session_rebalance(JsonWriter& w, const JsonValue& request,
-                              const online::SessionRegistry& sessions) {
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
-  w.member("migrations", handle.session().rebalance());
-}
 
 void write_session_stats(JsonWriter& w, const online::SessionStats& stats) {
   w.member("processors", stats.processors);
@@ -571,24 +312,12 @@ void write_session_stats(JsonWriter& w, const online::SessionStats& stats) {
   w.member("max_processor_utilization", stats.max_processor_utilization);
 }
 
-void handle_session_stats(JsonWriter& w, const JsonValue& request,
-                          const online::SessionRegistry& sessions) {
-  const online::SessionRegistry::Handle handle =
-      lock_session(request, sessions);
-  write_session_stats(w, handle.session().stats());
-}
 
-void handle_session_close(JsonWriter& w, const JsonValue& request,
-                          online::SessionRegistry& sessions) {
-  const std::int64_t id = require_int(
-      request, "session", 1, std::numeric_limits<std::int64_t>::max());
-  w.member("closed", sessions.close(static_cast<online::SessionId>(id)));
-}
 
 void write_endpoint_stats(JsonWriter& w, const Metrics& metrics,
-                          Endpoint endpoint) {
-  const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-  w.key(endpoint_name(endpoint));
+                          std::size_t slot) {
+  const Metrics::EndpointSnapshot snap = metrics.snapshot(slot);
+  w.key(slot_name(slot));
   w.begin_object();
   w.member("requests", snap.requests);
   w.member("errors", snap.errors);
@@ -656,23 +385,6 @@ void write_trace_stats(JsonWriter& w) {
   w.end_object();
 }
 
-/// The trace stage timing each op's compute; kMalformed never reaches the
-/// handler switch.
-trace::Stage stage_of(Endpoint endpoint) noexcept {
-  switch (endpoint) {
-    case Endpoint::kAdmit: return trace::Stage::kRouterAdmit;
-    case Endpoint::kAdmitBatch: return trace::Stage::kRouterAdmit;
-    case Endpoint::kAnalyze: return trace::Stage::kRouterAnalyze;
-    case Endpoint::kRobustness: return trace::Stage::kRouterRobustness;
-    case Endpoint::kSimulate: return trace::Stage::kRouterSimulate;
-    case Endpoint::kSession: return trace::Stage::kRouterSession;
-    case Endpoint::kStats: return trace::Stage::kRouterStats;
-    case Endpoint::kMetrics: return trace::Stage::kRouterMetrics;
-    case Endpoint::kMalformed: break;
-  }
-  return trace::Stage::kRouterStats;
-}
-
 // ------------------------------------------------- text exposition ------
 
 /// Prometheus floats: integral values print bare, others via json_number
@@ -684,29 +396,26 @@ std::string prom_number(double value) {
   return json_number(value);
 }
 
+/// One series per metrics slot, labelled endpoint="<op>" (or
+/// "malformed").
 void expose_endpoints(std::ostringstream& out, const Metrics& metrics) {
   out << "# TYPE rmts_requests_total counter\n";
-  for (std::size_t e = 0; e < kEndpointCount; ++e) {
-    const auto endpoint = static_cast<Endpoint>(e);
-    const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-    out << "rmts_requests_total{endpoint=\"" << endpoint_name(endpoint)
-        << "\"} " << snap.requests << '\n';
+  for (std::size_t slot = 0; slot < kMetricsSlotCount; ++slot) {
+    out << "rmts_requests_total{endpoint=\"" << slot_name(slot) << "\"} "
+        << metrics.snapshot(slot).requests << '\n';
   }
   out << "# TYPE rmts_request_errors_total counter\n";
-  for (std::size_t e = 0; e < kEndpointCount; ++e) {
-    const auto endpoint = static_cast<Endpoint>(e);
-    const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-    out << "rmts_request_errors_total{endpoint=\"" << endpoint_name(endpoint)
-        << "\"} " << snap.errors << '\n';
+  for (std::size_t slot = 0; slot < kMetricsSlotCount; ++slot) {
+    out << "rmts_request_errors_total{endpoint=\"" << slot_name(slot)
+        << "\"} " << metrics.snapshot(slot).errors << '\n';
   }
   // Sparse HDR histogram: only non-empty buckets are emitted (cumulative,
   // as Prometheus `le` semantics require), plus the mandatory +Inf.
   out << "# TYPE rmts_request_latency_us histogram\n";
-  for (std::size_t e = 0; e < kEndpointCount; ++e) {
-    const auto endpoint = static_cast<Endpoint>(e);
-    const Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
+  for (std::size_t slot = 0; slot < kMetricsSlotCount; ++slot) {
+    const Metrics::EndpointSnapshot snap = metrics.snapshot(slot);
     if (snap.requests == 0) continue;
-    const std::string label{endpoint_name(endpoint)};
+    const std::string_view label = slot_name(slot);
     for (const Histogram::Bucket& bucket : snap.latency_us.nonzero_buckets()) {
       out << "rmts_request_latency_us_bucket{endpoint=\"" << label
           << "\",le=\"" << bucket.upper << "\"} " << bucket.cumulative << '\n';
@@ -746,36 +455,23 @@ void expose_runtime(std::ostringstream& out, const RuntimeStats& runtime) {
       << "# TYPE rmts_overload_controller_ticks_total counter\n"
       << "rmts_overload_controller_ticks_total " << runtime.controller_ticks
       << '\n';
-  out << "# TYPE rmts_class_budget gauge\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_budget{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].budget << '\n';
-  }
-  out << "# TYPE rmts_class_in_flight gauge\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_in_flight{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].in_flight << '\n';
-  }
-  out << "# TYPE rmts_class_shed_total counter\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_shed_total{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].shed << '\n';
-  }
-  out << "# TYPE rmts_class_expired_total counter\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_expired_total{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].expired << '\n';
-  }
-  out << "# TYPE rmts_class_retry_after_ms gauge\n";
-  for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-    out << "rmts_class_retry_after_ms{class=\""
-        << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
-        << runtime.classes[c].retry_after_ms << '\n';
-  }
+  // One series per class for each member of ClassRuntimeStats.
+  const auto per_class = [&](std::string_view series, std::string_view type,
+                             auto ClassRuntimeStats::*member) {
+    out << "# TYPE " << series << ' ' << type << '\n';
+    for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
+      out << series << "{class=\""
+          << budget_class_name(static_cast<BudgetClass>(c)) << "\"} "
+          << runtime.classes[c].*member << '\n';
+    }
+  };
+  per_class("rmts_class_budget", "gauge", &ClassRuntimeStats::budget);
+  per_class("rmts_class_in_flight", "gauge", &ClassRuntimeStats::in_flight);
+  per_class("rmts_class_shed_total", "counter", &ClassRuntimeStats::shed);
+  per_class("rmts_class_expired_total", "counter",
+            &ClassRuntimeStats::expired);
+  per_class("rmts_class_retry_after_ms", "gauge",
+            &ClassRuntimeStats::retry_after_ms);
 }
 
 /// Online-session gauges: per-session resident tasks / utilization /
@@ -850,7 +546,359 @@ void expose_trace(std::ostringstream& out) {
   }
 }
 
+/// The whole observability surface as one text exposition.
+std::string render_exposition(const OpContext& context) {
+  std::ostringstream out;
+  expose_endpoints(out, context.metrics);
+  if (context.runtime) expose_runtime(out, context.runtime());
+  expose_sessions(out, context.sessions.all_stats(), context.sessions.totals());
+  expose_trace(out);
+  return out.str();
+}
+
 }  // namespace
+
+// ---------------------------------------------------------- op handlers --
+//
+// One per row of kOps (server/ops.hpp), in table order.
+
+void handle_admit(const OpContext& context, JsonWriter& w,
+                  const JsonValue& request) {
+  const PartitionRequest p = parse_partition_request(request, context.config);
+  // RM-TS reports the bound its partition() evaluated, not a second one.
+  const auto* rmts = dynamic_cast<const Rmts*>(p.algorithm);
+  double guaranteed = 0.0;
+  const Assignment assignment =
+      rmts != nullptr ? rmts->partition(p.tasks, p.processors, guaranteed)
+                      : p.algorithm->partition(p.tasks, p.processors);
+  w.member("algorithm", p.algorithm->name());
+  write_task_set_summary(w, p.tasks, p.processors);
+  if (rmts != nullptr) w.member("guaranteed_bound", guaranteed);
+  write_assignment_summary(w, assignment);
+}
+
+/// Batched admission: one request carrying many task sets, amortizing
+/// parse/dispatch/reply framing over the whole probe group (the client
+///-side analogue of the SoA kernel's rta_batch_fits, which the admission
+/// path under each item's partition() runs on).  Top-level m/alg/bound
+/// are defaults each item may override; a bad item yields a per-item
+/// ok:false entry without failing its siblings.
+void handle_admit_batch(const OpContext& context, JsonWriter& w,
+                        const JsonValue& request) {
+  const RouterConfig& config = context.config;
+  const JsonValue& items = require(request, "items");
+  if (!items.is_array()) reject("field 'items' must be an array");
+  if (items.items().empty()) reject("field 'items' must not be empty");
+  if (items.items().size() > config.max_batch_items) {
+    reject("too many items (limit " + std::to_string(config.max_batch_items) +
+           ")");
+  }
+  const std::int64_t default_m =
+      optional_int(request, "m", 0, 1,
+                   static_cast<std::int64_t>(config.max_processors));
+  const std::string_view default_alg = optional_string(request, "alg", "rmts");
+  const std::string_view default_bound =
+      optional_string(request, "bound", "hc");
+
+  std::size_t accepted = 0;
+  w.key("items");
+  w.begin_array();
+  for (const JsonValue& item : items.items()) {
+    w.begin_object();
+    try {
+      if (!item.is_object()) reject("each item must be an object");
+      const std::int64_t m =
+          optional_int(item, "m", default_m, 1,
+                       static_cast<std::int64_t>(config.max_processors));
+      if (m == 0) reject("missing field 'm' (item or request level)");
+      const TaskSet tasks = parse_tasks(item, config.max_tasks);
+      const std::string_view alg = optional_string(item, "alg", default_alg);
+      const std::string_view bound =
+          optional_string(item, "bound", default_bound);
+      const Partitioner& algorithm = make_algorithm(alg, bound_index(bound));
+      const auto processors = static_cast<std::size_t>(m);
+      const Assignment assignment = algorithm.partition(tasks, processors);
+      w.member("ok", true);
+      w.member("algorithm", algorithm.name());
+      write_task_set_summary(w, tasks, processors);
+      write_assignment_summary(w, assignment);
+      if (assignment.success) ++accepted;
+    } catch (const ProtocolError& error) {
+      w.member("ok", false);
+      w.member("error", error.message);
+    } catch (const Error& error) {
+      w.member("ok", false);
+      w.member("error", std::string_view(error.what()));
+    }
+    w.end_object();
+  }
+  w.end_array();
+  w.member("accepted_count", accepted);
+}
+
+void handle_analyze(const OpContext& context, JsonWriter& w,
+                    const JsonValue& request) {
+  const PartitionRequest p = parse_partition_request(request, context.config);
+  write_task_set_summary(w, p.tasks, p.processors);
+  w.member("harmonic", p.tasks.is_harmonic());
+  w.member("max_task_utilization", p.tasks.max_utilization());
+
+  // Per-bound utilization thresholds, all evaluated on the ORIGINAL set
+  // (re-evaluating on partitions would be unsound -- bounds/bound.hpp).
+  w.key("bounds");
+  w.begin_object();
+  for (const BoundPtr& bound : catalog().bounds) {
+    w.member(bound->name(), bound->evaluate(p.tasks));
+  }
+  w.end_object();
+  w.member("light_threshold", light_task_threshold(p.tasks.size()));
+  w.member("rmts_cap", rmts_bound_cap(p.tasks.size()));
+  w.member("light",
+           p.tasks.all_lighter_than(light_task_threshold(p.tasks.size())));
+
+  // RTA detail of the requested algorithm's partition: every subtask's
+  // measured response time against its synthetic deadline.
+  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
+  w.key("rta");
+  w.begin_object();
+  w.member("algorithm", p.algorithm->name());
+  write_assignment_summary(w, assignment);
+  if (assignment.success && p.policy == DispatchPolicy::kFixedPriority) {
+    w.key("processors");
+    w.begin_array();
+    for (const ProcessorAssignment& proc : assignment.processors) {
+      w.begin_object();
+      w.member("utilization", proc.utilization());
+      const ProcessorRta rta = analyze_processor(proc.subtasks);
+      w.key("subtasks");
+      w.begin_array();
+      for (std::size_t s = 0; s < proc.subtasks.size(); ++s) {
+        const Subtask& subtask = proc.subtasks[s];
+        w.begin_object();
+        w.member("task", static_cast<std::uint64_t>(subtask.task_id));
+        w.member("part", static_cast<std::int64_t>(subtask.part));
+        w.member("wcet", subtask.wcet);
+        w.member("period", subtask.period);
+        w.member("deadline", subtask.deadline);
+        w.member("response",
+                 s < rta.response.size() ? rta.response[s] : Time{0});
+        w.end_object();
+      }
+      w.end_array();
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.end_object();
+}
+
+void handle_robustness(const OpContext& context, JsonWriter& w,
+                       const JsonValue& request) {
+  const RouterConfig& config = context.config;
+  const PartitionRequest p = parse_partition_request(request, config);
+  RobustnessConfig robustness;
+  robustness.horizon_cap = config.sim_horizon_cap;
+  robustness.policy = p.policy;
+  robustness.fault_seed = static_cast<std::uint64_t>(optional_int(
+      request, "fault_seed", 1, 1, std::numeric_limits<std::int64_t>::max()));
+  robustness.max_overrun_factor = optional_double(
+      request, "max_factor", 4.0, 1.0, config.max_overrun_factor);
+  robustness.max_release_jitter = optional_int(
+      request, "max_jitter", 0, 0, std::numeric_limits<std::int64_t>::max() / 2);
+
+  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
+  w.member("algorithm", p.algorithm->name());
+  write_task_set_summary(w, p.tasks, p.processors);
+  w.member("accepted", assignment.success);
+  if (!assignment.success) return;
+
+  const RobustnessReport report =
+      analyze_robustness(p.tasks, assignment, robustness);
+  w.member("simulated_overrun_margin", report.simulated_overrun_margin);
+  w.member("simulated_jitter_margin", report.simulated_jitter_margin);
+  w.member("analytic_supported", report.analytic_supported);
+  if (report.analytic_supported) {
+    w.member("analytic_overrun_margin", report.analytic_overrun_margin);
+    w.member("analytic_jitter_margin", report.analytic_jitter_margin);
+  }
+}
+
+void handle_simulate(const OpContext& context, JsonWriter& w,
+                     const JsonValue& request) {
+  const RouterConfig& config = context.config;
+  const PartitionRequest p = parse_partition_request(request, config);
+  SimConfig sim;
+  sim.policy = p.policy;
+  sim.faults = parse_faults(request);
+  sim.stop_at_first_miss = false;
+  const Time cap = optional_int(request, "horizon_cap", config.sim_horizon_cap,
+                                1, config.sim_horizon_cap);
+  sim.horizon = recommended_horizon(p.tasks, cap);
+
+  const Assignment assignment = p.algorithm->partition(p.tasks, p.processors);
+  w.member("algorithm", p.algorithm->name());
+  write_task_set_summary(w, p.tasks, p.processors);
+  w.member("accepted", assignment.success);
+  if (!assignment.success) return;
+
+  // One workspace per worker thread: repeated simulate requests on a
+  // connection reuse it allocation-free.
+  thread_local SimWorkspace workspace;
+  const SimResult& run = simulate(p.tasks, assignment, sim, workspace);
+  w.member("schedulable", run.schedulable);
+  w.member("simulated_until", run.simulated_until);
+  w.member("events", run.events);
+  w.member("jobs_released", run.jobs_released);
+  w.member("jobs_completed", run.jobs_completed);
+  w.member("preemptions", run.preemptions);
+  w.member("migrations", run.migrations);
+  w.member("misses", run.misses.size());
+  if (!run.misses.empty()) {
+    constexpr std::size_t kMaxEchoedMisses = 8;
+    w.key("first_misses");
+    w.begin_array();
+    for (std::size_t i = 0; i < run.misses.size() && i < kMaxEchoedMisses; ++i) {
+      w.begin_object();
+      w.member("task", static_cast<std::uint64_t>(run.misses[i].task));
+      w.member("release", run.misses[i].release);
+      w.member("deadline", run.misses[i].deadline);
+      w.end_object();
+    }
+    w.end_array();
+  }
+  if (sim.faults.active()) {
+    w.member("degraded", run.jobs_degraded);
+    w.member("aborted", run.jobs_aborted);
+    w.member("demoted", run.jobs_demoted);
+    w.member("orphaned", run.subtasks_orphaned);
+  }
+}
+
+// ------------------------------------------------- online sessions ------
+//
+// The session_* ops expose src/online/ over the wire: a session_open
+// creates a long-lived PartitionSession in the router's registry; admit /
+// depart / rebalance mutate it under its per-session mutex.  Rejections
+// ("no placement passes exact RTA", unknown ticket) are normal ok:true
+// replies, mirroring the batch admit's accepted:false philosophy; only
+// unparseable requests and unknown session ids are errors.
+
+void handle_session_open(const OpContext& context, JsonWriter& w,
+                         const JsonValue& request) {
+  const RouterConfig& config = context.config;
+  const online::SessionConfig session = parse_session_config(request, config);
+  const online::SessionId id = context.sessions.open(session);
+  if (id == 0) {
+    reject("too many open sessions (limit " +
+           std::to_string(config.max_sessions) + ")");
+  }
+  w.member("session", id);
+  w.member("processors", session.processors);
+  w.member("max_resident", session.max_resident);
+}
+
+void handle_session_admit(const OpContext& context, JsonWriter& w,
+                          const JsonValue& request) {
+  const std::int64_t wcet =
+      require_int(request, "wcet", 1, online::PartitionSession::kMaxPeriod);
+  const std::int64_t period =
+      require_int(request, "period", 1, online::PartitionSession::kMaxPeriod);
+  const online::SessionRegistry::Handle handle =
+      lock_session(request, context.sessions);
+  const online::AdmitResult result = handle.session().admit(wcet, period);
+  w.member("accepted", result.admitted);
+  if (result.admitted) {
+    w.member("ticket", result.ticket);
+    w.member("parts", result.parts);
+  } else {
+    w.member("reason", result.reason);
+  }
+}
+
+void handle_session_depart(const OpContext& context, JsonWriter& w,
+                           const JsonValue& request) {
+  const std::int64_t ticket = require_int(
+      request, "ticket", 1, std::numeric_limits<std::int64_t>::max());
+  const online::SessionRegistry::Handle handle =
+      lock_session(request, context.sessions);
+  const bool departed =
+      handle.session().depart(static_cast<online::Ticket>(ticket));
+  w.member("departed", departed);
+}
+
+void handle_session_rebalance(const OpContext& context, JsonWriter& w,
+                              const JsonValue& request) {
+  const online::SessionRegistry::Handle handle =
+      lock_session(request, context.sessions);
+  w.member("migrations", handle.session().rebalance());
+}
+
+void handle_session_stats(const OpContext& context, JsonWriter& w,
+                          const JsonValue& request) {
+  const online::SessionRegistry::Handle handle =
+      lock_session(request, context.sessions);
+  write_session_stats(w, handle.session().stats());
+}
+
+void handle_session_close(const OpContext& context, JsonWriter& w,
+                          const JsonValue& request) {
+  const std::int64_t id = require_int(
+      request, "session", 1, std::numeric_limits<std::int64_t>::max());
+  w.member("closed",
+           context.sessions.close(static_cast<online::SessionId>(id)));
+}
+
+void handle_stats(const OpContext& context, JsonWriter& w,
+                  const JsonValue& /*request*/) {
+  if (context.runtime) {
+    const RuntimeStats runtime = context.runtime();
+    w.member("uptime_seconds", runtime.uptime_seconds);
+    w.member("workers", runtime.workers);
+    w.member("connections_accepted", runtime.connections_accepted);
+    w.member("connections_active", runtime.connections_active);
+    w.member("requests_shed", runtime.requests_shed);
+    w.member("batches_dispatched", runtime.batches_dispatched);
+    w.member("in_flight", runtime.in_flight);
+    write_overload_stats(w, runtime);
+  }
+  // Online sessions: one aggregate block (lifetime counters fold in
+  // closed sessions; resident_tasks is a live gauge) plus a per-session
+  // table of each live session's full stats.
+  const auto rows = context.sessions.all_stats();
+  const online::RegistryTotals totals = context.sessions.totals();
+  w.key("sessions");
+  w.begin_object();
+  w.member("open", rows.size());
+  w.member("resident_tasks", totals.resident_tasks);
+  w.member("admits", totals.admits_total);
+  w.member("rejects", totals.rejects_total);
+  w.member("departs", totals.departs_total);
+  w.member("migrations", totals.migrations_total);
+  w.key("per_session");
+  w.begin_array();
+  for (const auto& [sid, stats] : rows) {
+    w.begin_object();
+    w.member("session", sid);
+    write_session_stats(w, stats);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  w.member("requests_total", context.metrics.total_requests());
+  w.key("endpoints");
+  w.begin_object();
+  for (std::size_t slot = 0; slot < kMetricsSlotCount; ++slot) {
+    write_endpoint_stats(w, context.metrics, slot);
+  }
+  w.end_object();
+  write_trace_stats(w);
+}
+
+void handle_metrics(const OpContext& context, JsonWriter& w,
+                    const JsonValue& /*request*/) {
+  w.member("content_type", "text/plain; version=0.0.4");
+  w.member("text", render_exposition(context));
+}
 
 Router::Router(RouterConfig config, const Metrics& metrics,
                std::function<RuntimeStats()> runtime)
@@ -869,43 +917,24 @@ HandleOutcome Router::handle(std::string_view line) const {
   JsonValue& request = line.size() <= 64 * 1024 ? reused : one_off;
   std::string parse_error;
   if (!json_parse(line, request, parse_error)) {
-    return {error_reply("parse: " + parse_error), Endpoint::kMalformed, true};
+    return {error_reply("parse: " + parse_error), kMalformedSlot, true};
   }
   if (!request.is_object()) {
-    return {error_reply("request must be a JSON object"), Endpoint::kMalformed,
+    return {error_reply("request must be a JSON object"), kMalformedSlot,
             true};
   }
   const JsonValue* op_field = request.find("op");
   if (op_field == nullptr || !op_field->is_string()) {
-    return {error_reply("missing string field 'op'"), Endpoint::kMalformed,
-            true};
+    return {error_reply("missing string field 'op'"), kMalformedSlot, true};
   }
   const std::string_view op = op_field->as_string();
-  const JsonValue* id = request.find("id");
-
-  Endpoint endpoint;
-  if (op == "admit") {
-    endpoint = Endpoint::kAdmit;
-  } else if (op == "admit_batch") {
-    endpoint = Endpoint::kAdmitBatch;
-  } else if (op == "analyze") {
-    endpoint = Endpoint::kAnalyze;
-  } else if (op == "robustness") {
-    endpoint = Endpoint::kRobustness;
-  } else if (op == "simulate") {
-    endpoint = Endpoint::kSimulate;
-  } else if (op == "session_open" || op == "session_admit" ||
-             op == "session_depart" || op == "session_rebalance" ||
-             op == "session_stats" || op == "session_close") {
-    endpoint = Endpoint::kSession;
-  } else if (op == "stats") {
-    endpoint = Endpoint::kStats;
-  } else if (op == "metrics") {
-    endpoint = Endpoint::kMetrics;
-  } else {
+  const std::size_t slot = op_id(op);
+  if (slot == kMalformedSlot) {
     return {error_reply("unknown op '" + std::string(op) + "'"),
-            Endpoint::kMalformed, true};
+            kMalformedSlot, true};
   }
+  const OpSpec& spec = kOps[slot];
+  const JsonValue* id = request.find("id");
 
   const auto fail = [&](const std::string& message) {
     JsonWriter w;
@@ -915,93 +944,16 @@ HandleOutcome Router::handle(std::string_view line) const {
     if (id != nullptr) w.member("id", *id);
     w.member("error", message);
     w.end_object();
-    return HandleOutcome{w.take(), endpoint, true};
+    return HandleOutcome{w.take(), slot, true};
   };
 
   try {
-    const trace::Span span(stage_of(endpoint));
+    const trace::Span span(spec.stage);
     JsonWriter w;
     begin_reply(w, op, id);
-    switch (endpoint) {
-      case Endpoint::kAdmit: handle_admit(w, request, config_); break;
-      case Endpoint::kAdmitBatch:
-        handle_admit_batch(w, request, config_);
-        break;
-      case Endpoint::kAnalyze: handle_analyze(w, request, config_); break;
-      case Endpoint::kRobustness: handle_robustness(w, request, config_); break;
-      case Endpoint::kSimulate: handle_simulate(w, request, config_); break;
-      case Endpoint::kSession: {
-        if (op == "session_open") {
-          handle_session_open(w, request, config_, sessions_);
-        } else if (op == "session_admit") {
-          handle_session_admit(w, request, sessions_);
-        } else if (op == "session_depart") {
-          handle_session_depart(w, request, sessions_);
-        } else if (op == "session_rebalance") {
-          handle_session_rebalance(w, request, sessions_);
-        } else if (op == "session_stats") {
-          handle_session_stats(w, request, sessions_);
-        } else {
-          handle_session_close(w, request, sessions_);
-        }
-        break;
-      }
-      case Endpoint::kStats: {
-        if (runtime_) {
-          const RuntimeStats runtime = runtime_();
-          w.member("uptime_seconds", runtime.uptime_seconds);
-          w.member("workers", runtime.workers);
-          w.member("connections_accepted", runtime.connections_accepted);
-          w.member("connections_active", runtime.connections_active);
-          w.member("requests_shed", runtime.requests_shed);
-          w.member("batches_dispatched", runtime.batches_dispatched);
-          w.member("in_flight", runtime.in_flight);
-          write_overload_stats(w, runtime);
-        }
-        // Online sessions: one aggregate block (lifetime counters fold
-        // in closed sessions; resident_tasks is a live gauge) plus a
-        // per-session table of each live session's full stats.
-        {
-          const auto rows = sessions_.all_stats();
-          const online::RegistryTotals totals = sessions_.totals();
-          w.key("sessions");
-          w.begin_object();
-          w.member("open", rows.size());
-          w.member("resident_tasks", totals.resident_tasks);
-          w.member("admits", totals.admits_total);
-          w.member("rejects", totals.rejects_total);
-          w.member("departs", totals.departs_total);
-          w.member("migrations", totals.migrations_total);
-          w.key("per_session");
-          w.begin_array();
-          for (const auto& [sid, stats] : rows) {
-            w.begin_object();
-            w.member("session", sid);
-            write_session_stats(w, stats);
-            w.end_object();
-          }
-          w.end_array();
-          w.end_object();
-        }
-        w.member("requests_total", metrics_.total_requests());
-        w.key("endpoints");
-        w.begin_object();
-        for (std::size_t e = 0; e < kEndpointCount; ++e) {
-          write_endpoint_stats(w, metrics_, static_cast<Endpoint>(e));
-        }
-        w.end_object();
-        write_trace_stats(w);
-        break;
-      }
-      case Endpoint::kMetrics: {
-        w.member("content_type", "text/plain; version=0.0.4");
-        w.member("text", metrics_exposition());
-        break;
-      }
-      case Endpoint::kMalformed: break;  // unreachable
-    }
+    spec.handler(context(), w, request);
     w.end_object();
-    return {w.take(), endpoint, false};
+    return {w.take(), slot, false};
   } catch (const ProtocolError& error) {
     return fail(error.message);
   } catch (const Error& error) {
@@ -1012,16 +964,11 @@ HandleOutcome Router::handle(std::string_view line) const {
 }
 
 std::string Router::metrics_exposition() const {
-  std::ostringstream out;
-  expose_endpoints(out, metrics_);
-  if (runtime_) expose_runtime(out, runtime_());
-  expose_sessions(out, sessions_.all_stats(), sessions_.totals());
-  expose_trace(out);
-  return out.str();
+  return render_exposition(context());
 }
 
 HandleOutcome Router::oversized_line() const {
-  return {error_reply("line too long"), Endpoint::kMalformed, true};
+  return {error_reply("line too long"), kMalformedSlot, true};
 }
 
 }  // namespace rmts::server

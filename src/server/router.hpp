@@ -22,6 +22,7 @@
 #include "common/time.hpp"
 #include "online/registry.hpp"
 #include "server/metrics.hpp"
+#include "server/ops.hpp"
 #include "server/overload.hpp"
 
 namespace rmts::server {
@@ -76,8 +77,18 @@ struct RuntimeStats {
 /// plus what to record in Metrics.
 struct HandleOutcome {
   std::string reply;
-  Endpoint endpoint{Endpoint::kMalformed};
+  std::size_t slot{kMalformedSlot};  ///< the op's id (server/ops.hpp)
   bool error{false};
+};
+
+/// What an op handler (server/ops.hpp) works with: the router's limits,
+/// its session registry, and the read side the stats and metrics ops
+/// report.
+struct OpContext {
+  const RouterConfig& config;
+  online::SessionRegistry& sessions;
+  const Metrics& metrics;
+  const std::function<RuntimeStats()>& runtime;
 };
 
 class Router {
@@ -93,7 +104,7 @@ class Router {
   [[nodiscard]] HandleOutcome handle(std::string_view line) const;
 
   /// Prometheus-style text exposition (text/plain; version 0.0.4) of the
-  /// whole observability surface: per-endpoint request counters and HDR
+  /// whole observability surface: per-op request counters and HDR
   /// latency histograms (sparse `le` buckets), event-loop gauges, trace
   /// counters and per-stage latency summaries.  Served by the `metrics`
   /// op (JSON-wrapped) and by the server's `GET /metrics` scrape path
@@ -104,14 +115,11 @@ class Router {
   /// cap) -- the request text itself is gone, so this cannot echo an id.
   [[nodiscard]] HandleOutcome oversized_line() const;
 
-  [[nodiscard]] const RouterConfig& config() const noexcept { return config_; }
-
-  /// The online-session store (tests and the fuzzer inspect it directly).
-  [[nodiscard]] const online::SessionRegistry& sessions() const noexcept {
-    return sessions_;
+ private:
+  [[nodiscard]] OpContext context() const noexcept {
+    return {config_, sessions_, metrics_, runtime_};
   }
 
- private:
   RouterConfig config_;
   const Metrics& metrics_;
   std::function<RuntimeStats()> runtime_;

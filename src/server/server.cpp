@@ -14,6 +14,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "server/ops.hpp"
 #include "server/overload.hpp"
 #include "server/protocol.hpp"
 
@@ -49,10 +51,10 @@ struct PendingRequest {
   std::uint64_t seq{0};  ///< per-connection dispatch order
   std::string line;
   Clock::time_point enqueued;
-  /// Event-loop peek results: which class budget this request holds (if
-  /// any) and the client deadline in ms from arrival (0 = none).
-  BudgetClass cls{BudgetClass::kAdmit};
-  bool budgeted{false};
+  /// Event-loop peek results: the op's row (nullptr for a line naming no
+  /// known op), whose budget class this request holds, if any, and the
+  /// client deadline in ms from arrival (0 = none).
+  const OpSpec* op{nullptr};
   std::int64_t deadline_ms{0};
 };
 
@@ -254,15 +256,21 @@ struct Server::Impl {
     std::uint64_t expirations = 0;
     (void)::read(timer_fd, &expirations, sizeof expirations);
 
-    std::array<ClassSample, kBudgetClassCount> samples{};
+    // A class's sample sums every op of the class: requests add up and
+    // the latency histograms merge exactly.
+    std::array<std::uint64_t, kBudgetClassCount> requests{};
     std::array<Histogram, kBudgetClassCount> latency{};
+    for (std::size_t slot = 0; slot < kOpCount; ++slot) {
+      if (!kOps[slot].budget) continue;
+      const auto c = static_cast<std::size_t>(*kOps[slot].budget);
+      const Metrics::EndpointSnapshot snap = metrics.snapshot(slot);
+      requests[c] += snap.requests;
+      latency[c].merge(snap.latency_us);
+    }
+    std::array<ClassSample, kBudgetClassCount> samples{};
     for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
-      const auto cls = static_cast<BudgetClass>(c);
-      const Endpoint endpoint = endpoint_of(cls);
-      Metrics::EndpointSnapshot snap = metrics.snapshot(endpoint);
-      latency[c] = std::move(snap.latency_us);
       ClassSample& sample = samples[c];
-      sample.completed = snap.requests - tick_prev_requests[c];
+      sample.completed = requests[c] - tick_prev_requests[c];
       const std::uint64_t shed_now =
           class_shed[c].load(std::memory_order_relaxed);
       sample.shed = shed_now - tick_prev_shed[c];
@@ -271,7 +279,7 @@ struct Server::Impl {
         sample.p99_us =
             latency[c].delta_since(tick_prev_latency[c]).quantile(0.99);
       }
-      tick_prev_requests[c] = snap.requests;
+      tick_prev_requests[c] = requests[c];
       tick_prev_shed[c] = shed_now;
     }
     for (std::size_t c = 0; c < kBudgetClassCount; ++c) {
@@ -287,17 +295,6 @@ struct Server::Impl {
       class_retry_ms[c].store(controller.retry_after_ms(cls),
                               std::memory_order_relaxed);
     }
-  }
-
-  static Endpoint endpoint_of(BudgetClass cls) noexcept {
-    switch (cls) {
-      case BudgetClass::kAdmit: return Endpoint::kAdmit;
-      case BudgetClass::kAnalyze: return Endpoint::kAnalyze;
-      case BudgetClass::kRobustness: return Endpoint::kRobustness;
-      case BudgetClass::kSimulate: return Endpoint::kSimulate;
-      case BudgetClass::kSession: return Endpoint::kSession;
-    }
-    return Endpoint::kAdmit;
   }
 
   // ---- event loop -------------------------------------------------------
@@ -449,7 +446,7 @@ struct Server::Impl {
     while (conn.decoder.next(line)) {
       if (line.oversized) {
         const HandleOutcome out = router.oversized_line();
-        metrics.record(out.endpoint, out.error, 0);
+        metrics.record(out.slot, out.error, 0);
         enqueue_ordered(conn, conn.seq_next++, out.reply);
         continue;
       }
@@ -470,11 +467,10 @@ struct Server::Impl {
       // retry_after_ms hint so well-behaved clients back off for about as
       // long as the congestion will last.
       const RequestPeek peek = peek_request(line.text);
-      const auto cls_index = static_cast<std::size_t>(peek.cls);
+      const std::optional<BudgetClass> cls = budget_of(peek.op);
       const bool over_budget =
-          peek.budgeted &&
-          class_in_flight[cls_index].load(std::memory_order_relaxed) >=
-              controller.budget(peek.cls);
+          cls && class_in_flight[static_cast<std::size_t>(*cls)].load(
+                     std::memory_order_relaxed) >= controller.budget(*cls);
       const bool over_backstop =
           in_flight.load(std::memory_order_relaxed) + pending_batch.size() >=
           config.max_in_flight;
@@ -486,20 +482,22 @@ struct Server::Impl {
         // backstop must not ratchet that class's budget upward.
         int hint = controller.config().interval_ms;
         if (over_budget) {
-          class_shed[cls_index].fetch_add(1, std::memory_order_relaxed);
-          hint = controller.retry_after_ms(peek.cls);
+          class_shed[static_cast<std::size_t>(*cls)].fetch_add(
+              1, std::memory_order_relaxed);
+          hint = controller.retry_after_ms(*cls);
         }
         enqueue_ordered(conn, conn.seq_next++, overloaded_reply(hint));
         continue;
       }
-      if (peek.budgeted) {
-        class_in_flight[cls_index].fetch_add(1, std::memory_order_relaxed);
+      if (cls) {
+        class_in_flight[static_cast<std::size_t>(*cls)].fetch_add(
+            1, std::memory_order_relaxed);
       }
       conn.pending += 1;
       pending_batch.push_back(PendingRequest{conn.token, conn.seq_next++,
                                              std::move(line.text),
-                                             Clock::now(), peek.cls,
-                                             peek.budgeted, peek.deadline_ms});
+                                             Clock::now(), peek.op,
+                                             peek.deadline_ms});
     }
     update_interest(conn);
   }
@@ -550,8 +548,7 @@ struct Server::Impl {
         std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                               started)
             .count());
-    metrics.record(path == "/metrics" ? Endpoint::kMetrics
-                                      : Endpoint::kMalformed,
+    metrics.record(path == "/metrics" ? kMetricsOp : kMalformedSlot,
                    path != "/metrics", micros);
   }
 
@@ -594,13 +591,10 @@ struct Server::Impl {
                 .count();
         if (waited_ms > request.deadline_ms) {
           requests_expired.fetch_add(1, std::memory_order_relaxed);
-          const Endpoint endpoint = request.budgeted
-                                        ? endpoint_of(request.cls)
-                                        : Endpoint::kMalformed;
-          metrics.record(endpoint, true,
+          metrics.record(slot_of(request.op), true,
                          static_cast<std::uint64_t>(waited_ms) * 1000);
-          if (request.budgeted) {
-            const auto c = static_cast<std::size_t>(request.cls);
+          if (const auto cls = budget_of(request.op)) {
+            const auto c = static_cast<std::size_t>(*cls);
             class_expired[c].fetch_add(1, std::memory_order_relaxed);
             class_in_flight[c].fetch_sub(1, std::memory_order_relaxed);
           }
@@ -638,9 +632,9 @@ struct Server::Impl {
           std::chrono::duration_cast<std::chrono::microseconds>(
               after - request.enqueued)
               .count());
-      metrics.record(out.endpoint, out.error, micros);
-      if (request.budgeted) {
-        class_in_flight[static_cast<std::size_t>(request.cls)].fetch_sub(
+      metrics.record(out.slot, out.error, micros);
+      if (const auto cls = budget_of(request.op)) {
+        class_in_flight[static_cast<std::size_t>(*cls)].fetch_sub(
             1, std::memory_order_relaxed);
       }
       done.push_back(

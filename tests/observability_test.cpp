@@ -42,9 +42,9 @@ JsonValue parse_ok(const std::string& text) {
 TEST(Metrics, ReportsInterpolatedQuantilesNotBucketEdges) {
   Metrics metrics;
   for (std::uint64_t us = 1; us <= 1000; ++us) {
-    metrics.record(Endpoint::kAdmit, false, us);
+    metrics.record(op_id("admit"), false, us);
   }
-  const Metrics::EndpointSnapshot snap = metrics.snapshot(Endpoint::kAdmit);
+  const Metrics::EndpointSnapshot snap = metrics.snapshot(op_id("admit"));
   EXPECT_EQ(snap.requests, 1000u);
   EXPECT_EQ(snap.max_micros, 1000u);
   // True p50 of 1..1000 is 500; the old power-of-two buckets reported the
@@ -69,13 +69,13 @@ TEST(Metrics, ConcurrentRecordingKeepsExactMaxAndCounts) {
         // Mostly small latencies with one contended spike per thread.
         const std::uint64_t us =
             i == kPerThread / 2 ? 1'000'000 + t : (i % 97) + 1;
-        metrics.record(Endpoint::kSimulate, false, us);
+        metrics.record(op_id("simulate"), false, us);
       }
     });
   }
   for (std::thread& t : threads) t.join();
 
-  const Metrics::EndpointSnapshot snap = metrics.snapshot(Endpoint::kSimulate);
+  const Metrics::EndpointSnapshot snap = metrics.snapshot(op_id("simulate"));
   EXPECT_EQ(snap.requests, kThreads * kPerThread);
   EXPECT_EQ(snap.max_micros, 1'000'000u + kThreads - 1);
   EXPECT_EQ(snap.latency_us.count(), kThreads * kPerThread);
@@ -235,10 +235,10 @@ void expect_valid_exposition(const std::string& text) {
 
 TEST(Exposition, RendersParseableTextWithConsistentCounts) {
   Metrics metrics;
-  metrics.record(Endpoint::kAdmit, false, 120);
-  metrics.record(Endpoint::kAdmit, false, 340);
-  metrics.record(Endpoint::kAdmit, true, 90);
-  metrics.record(Endpoint::kAnalyze, false, 55);
+  metrics.record(op_id("admit"), false, 120);
+  metrics.record(op_id("admit"), false, 340);
+  metrics.record(op_id("admit"), true, 90);
+  metrics.record(op_id("analyze"), false, 55);
   RuntimeStats runtime;
   runtime.connections_active = 3;
   runtime.workers = 2;
@@ -265,9 +265,9 @@ TEST(Exposition, RendersParseableTextWithConsistentCounts) {
 
 TEST(Exposition, HistogramBucketsAreCumulativeAndSparse) {
   Metrics metrics;
-  metrics.record(Endpoint::kAdmit, false, 10);
-  metrics.record(Endpoint::kAdmit, false, 10);
-  metrics.record(Endpoint::kAdmit, false, 5000);
+  metrics.record(op_id("admit"), false, 10);
+  metrics.record(op_id("admit"), false, 10);
+  metrics.record(op_id("admit"), false, 5000);
   const Router router(RouterConfig{}, metrics);
   const std::string text = router.metrics_exposition();
 
@@ -286,7 +286,7 @@ TEST(Exposition, HistogramBucketsAreCumulativeAndSparse) {
 
 TEST(Exposition, StatsReplyCarriesTraceSections) {
   Metrics metrics;
-  metrics.record(Endpoint::kAdmit, false, 100);
+  metrics.record(op_id("admit"), false, 100);
   const Router router(RouterConfig{}, metrics);
   const HandleOutcome out = router.handle(R"({"op":"stats"})");
   ASSERT_FALSE(out.error);
@@ -407,7 +407,113 @@ TEST(LiveMetrics, MetricsOpAndHttpScrapeSurviveConcurrentLoad) {
 
   // The scrapes themselves were recorded: metrics endpoint counts the
   // JSON ops plus the raw HTTP hit.
-  EXPECT_GE(server->metrics().snapshot(Endpoint::kMetrics).requests, 6u);
+  EXPECT_GE(server->metrics().snapshot(kMetricsOp).requests, 6u);
+}
+
+// ------------------------------------------------ live-metric contract --
+
+/// The value of the exposition line `<series> <value>`; -1 when `text` has
+/// no such series.
+std::int64_t series_value(const std::string& text, const std::string& series) {
+  const std::string needle = series + ' ';
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    if (pos == 0 || text[pos - 1] == '\n') {
+      return std::stoll(text.substr(pos + needle.size()));
+    }
+  }
+  return -1;
+}
+
+/// `endpoints.<op>.requests` of a stats reply; -1 when it is missing.
+std::int64_t stats_requests(const Router& observer, std::string_view op) {
+  const JsonValue reply = parse_ok(observer.handle(R"({"op":"stats"})").reply);
+  const JsonValue* endpoints = reply.find("endpoints");
+  const JsonValue* entry = endpoints != nullptr ? endpoints->find(op) : nullptr;
+  const JsonValue* requests =
+      entry != nullptr ? entry->find("requests") : nullptr;
+  return requests != nullptr ? requests->as_int() : -1;
+}
+
+/// The open session the session ops act on, a ticket resident in it and
+/// a second session for session_close.
+struct SessionFixture {
+  std::uint64_t session{0};
+  std::uint64_t ticket{0};
+  std::uint64_t closable{0};
+};
+
+/// A valid request for `op`; empty for an op this test has no request for,
+/// which fails the contract test below.
+std::string sample_request(std::string_view op, const SessionFixture& s) {
+  const auto tasks = TaskSet::from_pairs({{1, 4}, {1, 5}, {2, 10}});
+  const std::vector<TaskSet> batch{tasks, tasks};
+  if (op == "admit") return make_admit_request(2, tasks);
+  if (op == "admit_batch") return make_admit_batch_request(2, batch);
+  if (op == "analyze") return make_analyze_request(2, tasks);
+  if (op == "robustness") return make_robustness_request(2, tasks);
+  if (op == "simulate") return make_simulate_request(2, tasks);
+  if (op == "session_open") return make_session_open_request(2);
+  if (op == "session_admit") return make_session_admit_request(s.session, 1, 8);
+  if (op == "session_depart") {
+    return make_session_depart_request(s.session, s.ticket);
+  }
+  if (op == "session_rebalance") {
+    return make_session_rebalance_request(s.session);
+  }
+  if (op == "session_stats") return make_session_stats_request(s.session);
+  if (op == "session_close") return make_session_close_request(s.closable);
+  if (op == "stats") return make_stats_request();
+  if (op == "metrics") return make_metrics_request();
+  return {};
+}
+
+TEST(LiveMetricContract, EveryOpAdvancesItsSeriesStatsEntryAndStage) {
+  LiveServer server(test_config());
+  Client client("127.0.0.1", server->port());
+  // A second router over the live server's Metrics renders its stats and
+  // exposition without being counted: only the transport records.
+  const Router observer(RouterConfig{}, server->metrics());
+
+  SessionFixture fixture;
+  fixture.session = reply_uint_field(
+      client.request(make_session_open_request(2)), "session");
+  fixture.closable = reply_uint_field(
+      client.request(make_session_open_request(2)), "session");
+  fixture.ticket = reply_uint_field(
+      client.request(make_session_admit_request(fixture.session, 1, 10)),
+      "ticket");
+  ASSERT_NE(fixture.session, 0u);
+  ASSERT_NE(fixture.closable, 0u);
+  ASSERT_NE(fixture.ticket, 0u);
+
+  // The table is iterated, so an op added without a request here -- or
+  // without its own series, stats entry or stage -- fails.
+  for (const OpSpec& op : kOps) {
+    SCOPED_TRACE(std::string(op.name));
+    const std::string request = sample_request(op.name, fixture);
+    ASSERT_FALSE(request.empty()) << "no sample request for this op";
+    const std::string series =
+        "rmts_requests_total{endpoint=\"" + std::string(op.name) + "\"}";
+
+    const std::int64_t series_before =
+        series_value(observer.metrics_exposition(), series);
+    const std::int64_t stats_before = stats_requests(observer, op.name);
+    const std::uint64_t stage_before = trace::snapshot().stage(op.stage).count;
+    const JsonValue reply = parse_ok(client.request(request));
+    const std::uint64_t stage_after = trace::snapshot().stage(op.stage).count;
+
+    ASSERT_NE(reply.find("ok"), nullptr);
+    EXPECT_TRUE(reply.find("ok")->as_bool());
+    ASSERT_GE(series_before, 0) << "no series " << series;
+    EXPECT_EQ(series_value(observer.metrics_exposition(), series),
+              series_before + 1);
+    ASSERT_GE(stats_before, 0) << "no stats entry";
+    EXPECT_EQ(stats_requests(observer, op.name), stats_before + 1);
+    if (trace::compiled_in() && trace::enabled()) {
+      EXPECT_GT(stage_after, stage_before) << trace::stage_name(op.stage);
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 
 #include "server/client.hpp"
 #include "server/json.hpp"
+#include "server/ops.hpp"
 #include "server/overload.hpp"
 #include "server/server.hpp"
 #include "tasks/task_set.hpp"
@@ -198,32 +201,56 @@ TEST(OverloadController, RetryHintFollowsLittlesLaw) {
 TEST(PeekRequest, ClassifiesEveryBudgetedOp) {
   const struct {
     const char* line;
+    const char* op;
     BudgetClass cls;
   } cases[] = {
-      {R"({"op":"admit","m":2,"tasks":[[1,4]]})", BudgetClass::kAdmit},
-      {R"({"op":"analyze","m":2,"tasks":[[1,4]]})", BudgetClass::kAnalyze},
-      {R"({"op":"robustness","m":2,"tasks":[[1,4]]})",
+      {R"({"op":"admit","m":2,"tasks":[[1,4]]})", "admit", BudgetClass::kAdmit},
+      {R"({"op":"analyze","m":2,"tasks":[[1,4]]})", "analyze",
+       BudgetClass::kAnalyze},
+      {R"({"op":"robustness","m":2,"tasks":[[1,4]]})", "robustness",
        BudgetClass::kRobustness},
-      {R"({"op":"simulate","m":2,"tasks":[[1,4]]})", BudgetClass::kSimulate},
-      // Batched admission shares the admit budget (overload.cpp).
+      {R"({"op":"simulate","m":2,"tasks":[[1,4]]})", "simulate",
+       BudgetClass::kSimulate},
+      // Batched admission shares the admit budget (server/ops.hpp).
       {R"({"op":"admit_batch","m":2,"items":[{"tasks":[[1,4]]}]})",
-       BudgetClass::kAdmit},
-      {R"({ "op" : "admit" })", BudgetClass::kAdmit},  // whitespace tolerated
+       "admit_batch", BudgetClass::kAdmit},
+      {R"({ "op" : "admit" })", "admit",
+       BudgetClass::kAdmit},  // whitespace tolerated
+      // The session ops share one budget (server/ops.hpp).
+      {R"({"op":"session_open","m":2})", "session_open",
+       BudgetClass::kSession},
+      {R"({"op":"session_admit","session":1,"wcet":1,"period":4})",
+       "session_admit", BudgetClass::kSession},
+      {R"({"op":"session_depart","session":1,"ticket":1})", "session_depart",
+       BudgetClass::kSession},
+      {R"({"op":"session_rebalance","session":1})", "session_rebalance",
+       BudgetClass::kSession},
+      {R"({"op":"session_stats","session":1})", "session_stats",
+       BudgetClass::kSession},
+      {R"({"op":"session_close","session":1})", "session_close",
+       BudgetClass::kSession},
   };
   for (const auto& c : cases) {
     const RequestPeek peek = peek_request(c.line);
-    EXPECT_TRUE(peek.budgeted) << c.line;
-    EXPECT_EQ(peek.cls, c.cls) << c.line;
+    ASSERT_NE(peek.op, nullptr) << c.line;
+    EXPECT_EQ(peek.op->name, c.op) << c.line;
+    EXPECT_EQ(budget_of(peek.op), c.cls) << c.line;
     EXPECT_EQ(peek.deadline_ms, 0) << c.line;
   }
 }
 
 TEST(PeekRequest, ControlPlaneAndGarbageAreUnbudgeted) {
+  // session_frob is not a row: the "session_" prefix earns no budget.
   for (const char* line :
        {R"({"op":"stats"})", R"({"op":"metrics"})", R"({"op":"frobnicate"})",
-        "not json at all", "", R"({"id":7})", R"({"op":12})"}) {
-    EXPECT_FALSE(peek_request(line).budgeted) << line;
+        R"({"op":"session_frob","session":1})", "not json at all", "",
+        R"({"id":7})", R"({"op":12})"}) {
+    EXPECT_FALSE(budget_of(peek_request(line).op)) << line;
   }
+  // The control-plane ops are still found, so they are counted as
+  // themselves rather than as malformed.
+  EXPECT_EQ(peek_request(R"({"op":"stats"})").op, find_op("stats"));
+  EXPECT_EQ(peek_request(R"({"op":"metrics"})").op, find_op("metrics"));
 }
 
 TEST(PeekRequest, ExtractsDeadline) {
@@ -253,23 +280,33 @@ TEST(PeekRequest, KeysInsideValuesOrNestedObjectsNeverMatch) {
                 .deadline_ms,
             0);
   // "op" nested or quoted inside a value must not classify the line.
-  EXPECT_FALSE(peek_request(R"({"meta":{"op":"admit"}})").budgeted);
-  EXPECT_FALSE(peek_request(R"({"note":"\"op\":\"admit\""})").budgeted);
+  EXPECT_EQ(peek_request(R"({"meta":{"op":"admit"}})").op, nullptr);
+  EXPECT_EQ(peek_request(R"({"note":"\"op\":\"admit\""})").op, nullptr);
   // The real top-level keys still win with every decoy present at once.
   const RequestPeek peek = peek_request(
       R"({"note":"\"deadline_ms\": 7","meta":{"op":"simulate"},)"
       R"("op":"analyze","deadline_ms":31})");
-  EXPECT_TRUE(peek.budgeted);
-  EXPECT_EQ(peek.cls, BudgetClass::kAnalyze);
+  EXPECT_EQ(peek.op, find_op("analyze"));
+  EXPECT_EQ(budget_of(peek.op), BudgetClass::kAnalyze);
   EXPECT_EQ(peek.deadline_ms, 31);
+}
+
+TEST(PeekRequest, FirstOpKeyWinsAsInTheRouter) {
+  // The router reads the first "op"; a duplicate after it must not move
+  // the line into another class budget or out of its own.
+  EXPECT_EQ(peek_request(R"({"op":"admit","op":"stats"})").op,
+            find_op("admit"));
+  EXPECT_EQ(peek_request(R"({"op":"stats","op":"admit"})").op,
+            find_op("stats"));
+  EXPECT_EQ(peek_request(R"({"op":7,"op":"admit"})").op, nullptr);
 }
 
 TEST(PeekRequest, MatchesTheBuiltRequests) {
   const auto tasks = TaskSet::from_pairs({{1, 4}, {1, 5}});
   const RequestPeek peek =
       peek_request(make_simulate_request(2, tasks, {}, {}, 7, 1500));
-  EXPECT_TRUE(peek.budgeted);
-  EXPECT_EQ(peek.cls, BudgetClass::kSimulate);
+  EXPECT_EQ(peek.op, find_op("simulate"));
+  EXPECT_EQ(budget_of(peek.op), BudgetClass::kSimulate);
   EXPECT_EQ(peek.deadline_ms, 1500);
 }
 
@@ -588,6 +625,67 @@ TEST(OverloadLive, RetryingClientRidesOutSaturation) {
   EXPECT_GT(server->runtime_stats().requests_shed, 0u);
 
   EXPECT_TRUE(parse_ok(saturator.read_reply()).find("ok")->as_bool());
+}
+
+TEST(OverloadLive, AdmitBatchTrafficCountsAsAdmitClassCompletions) {
+  // Regression: admit_batch holds the admit budget, so the admit class's
+  // sample must count batch completions too.  When it read only the
+  // single-admit op, batch-only traffic looked stuck (in flight, nothing
+  // completed) on every tick, and the controller cut the budget to the
+  // floor and pinned the retry hint at its ceiling.  The SLO here is loose
+  // enough that only that stuck rule could shrink the budget.
+  ServerConfig config;
+  config.port = 0;
+  config.workers = 1;
+  config.overload.interval_ms = 20;
+  config.overload.slo_p99_us[kAdmitIdx] = 60'000'000;
+  LiveServer server(config);
+
+  std::vector<TaskSet> sets;
+  for (int i = 0; i < 8; ++i) {
+    sets.push_back(TaskSet::from_pairs({{1, 4 + i}, {1, 5 + i}, {2, 10}}));
+  }
+  const std::string batch = make_admit_batch_request(2, sets);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&] {
+      Client client("127.0.0.1", server->port());
+      while (!stop.load(std::memory_order_relaxed)) {
+        (void)client.request(batch);
+      }
+    });
+  }
+
+  // Sample the published budget and hint while the batches flow.
+  std::size_t min_budget = config.overload.initial_budget;
+  int samples = 0;
+  int hint_below_ceiling = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+  while (std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    const ClassRuntimeStats admit =
+        server->runtime_stats().classes[kAdmitIdx];
+    min_budget = std::min(min_budget, admit.budget);
+    ++samples;
+    if (admit.retry_after_ms < config.overload.max_retry_after_ms) {
+      ++hint_below_ceiling;
+    }
+  }
+  const RuntimeStats stats = server->runtime_stats();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_GT(stats.controller_ticks, 10u);
+  EXPECT_GT(server->metrics().snapshot(op_id("admit_batch")).requests, 0u);
+  EXPECT_GT(min_budget, config.overload.min_budget);
+  EXPECT_GT(stats.classes[kAdmitIdx].budget, config.overload.min_budget);
+  // A scheduling hiccup may leave one interval without a completion; a
+  // healthy class still reports a drain-time hint almost every time.
+  EXPECT_GT(hint_below_ceiling * 2, samples)
+      << hint_below_ceiling << " of " << samples << " samples";
 }
 
 TEST(OverloadLive, StatsExposesBudgetsAndMetricsExportsThem) {

@@ -610,13 +610,15 @@ Subtask random_kernel_subtask(Rng& rng, std::size_t priority,
 /// subtask at or below the candidate exactly its kernel_response_time in
 /// the post-insert set; and ProcessorState::try_add must reproduce the
 /// oracle verdict and leave every response equal to a fresh analysis of
-/// the grown set.
-template <typename Fail>
+/// the grown set.  Stops, checking nothing more, once `out_of_time()`.
+template <typename Fail, typename OutOfTime>
 void check_commit(const std::vector<Subtask>& subtasks, const RtaSoa& soa,
-                  const Subtask& candidate, bool expected, const Fail& fail) {
+                  const Subtask& candidate, bool expected, const Fail& fail,
+                  const OutOfTime& out_of_time) {
   const std::size_t n = subtasks.size();
   std::vector<Time> seeds(n);
   for (std::size_t i = 0; i < n; ++i) {
+    if (out_of_time()) return;
     const auto hp = std::span<const Subtask>(subtasks).first(i);
     const RtaOutcome out =
         response_time(subtasks[i].wcet, subtasks[i].deadline, hp);
@@ -638,6 +640,7 @@ void check_commit(const std::vector<Subtask>& subtasks, const RtaSoa& soa,
   grown_soa.assign(grown);
   if (verdict.committed) {
     for (std::size_t i = pos; i < n; ++i) {
+      if (out_of_time()) return;
       const RtaOutcome fresh =
           kernel_response_time(grown, grown_soa, i + 1, grown[i + 1].wcet,
                                grown[i + 1].deadline, 0);
@@ -655,6 +658,7 @@ void check_commit(const std::vector<Subtask>& subtasks, const RtaSoa& soa,
   }
   if (!expected) return;
   for (std::size_t i = 0; i < grown.size(); ++i) {
+    if (out_of_time()) return;
     const RtaOutcome fresh = kernel_response_time(
         grown, grown_soa, i, grown[i].wcet, grown[i].deadline, 0);
     // A random host may already miss above the candidate (fits() does not
@@ -671,10 +675,20 @@ void check_commit(const std::vector<Subtask>& subtasks, const RtaSoa& soa,
 
 /// Differential fuzz of the SoA kernel against the scalar path.  Returns
 /// the number of violations found.
+///
+/// One overflow-scale set can hold single RTA calls of several seconds, so
+/// the time budget is also checked between the checks of a set: a set the
+/// budget runs out in stops there and is not counted as tested.
 std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
   Rng rng(seed ^ 0x6b65726e656cULL);  // "kernel"
   const auto start = std::chrono::steady_clock::now();
+  const auto out_of_time = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+               .count() >= seconds;
+  };
   std::uint64_t attempts = 0;
+  std::uint64_t tested = 0;
   std::uint64_t probes = 0;
   std::uint64_t violations = 0;
   const auto fail = [&](const std::string& what) {
@@ -683,8 +697,7 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
               << ", attempt " << attempts - 1 << '\n';
   };
 
-  while (std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-             .count() < seconds) {
+  while (!out_of_time()) {
     Rng sample = rng.fork(attempts++);
     const bool overflow_scale = sample.uniform_int(0, 5) == 0;
     const auto n = static_cast<std::size_t>(sample.uniform_int(0, 10));
@@ -724,6 +737,7 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
 
     // (b) Seeded and with-extra twins at a random prefix are bit-identical
     // to the scalar functions under the same (valid) seed.
+    if (out_of_time()) break;
     if (n > 0) {
       const auto i = static_cast<std::size_t>(
           sample.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -752,6 +766,7 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
     // (c) Incremental mirror maintenance: inserting the subtasks in a
     // random order at their priority positions must leave the mirror
     // indistinguishable from a rebuild at every step.
+    if (out_of_time()) break;
     std::vector<Subtask> shuffled = subtasks;
     for (std::size_t i = shuffled.size(); i > 1; --i) {
       const auto j = static_cast<std::size_t>(
@@ -796,14 +811,18 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
           overflow_scale));
     }
     std::vector<KernelFit> verdicts(candidates.size());
+    if (out_of_time()) break;
     in_order.fits_batch(candidates, verdicts);
     for (std::size_t c = 0; c < candidates.size(); ++c) {
+      if (out_of_time()) break;
       ++probes;
       RtaOutcome own;
       const bool expected = oracle_fits(subtasks, candidates[c], own);
+      if (out_of_time()) break;
       if (in_order.fits(candidates[c]) != expected) {
         fail("fits() diverged from the scalar oracle");
       }
+      if (out_of_time()) break;
       if (shuffled_order.fits(candidates[c]) != expected) {
         fail("fits() verdict depends on add() order");
       }
@@ -813,8 +832,9 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       if (expected && verdicts[c].response != own.response) {
         fail("fits_batch() candidate response diverged from scalar RTA");
       }
-      check_commit(subtasks, soa, candidates[c], expected, fail);
+      check_commit(subtasks, soa, candidates[c], expected, fail, out_of_time);
     }
+    if (out_of_time()) break;
 
     // (e) The jitter kernel keeps the old robustness loop's exact values.
     if (n > 0) {
@@ -830,9 +850,10 @@ std::uint64_t kernel_fuzz(double seconds, std::uint64_t seed) {
       const auto sj = oracle_jitter(subtasks[i].wcet, bound, hp, jitter);
       if (kj != sj) fail("kernel_jitter_response diverged from scalar loop");
     }
+    ++tested;
   }
 
-  std::cout << "rmts_fuzz kernel: " << attempts << " hosted sets, " << probes
+  std::cout << "rmts_fuzz kernel: " << tested << " hosted sets, " << probes
             << " admission probes, " << violations << " violations (seed "
             << seed << ")\n";
   return violations;

@@ -51,70 +51,47 @@ namespace {
 }
 
 void write_quantiles(rmts::server::JsonWriter& w, const rmts::Histogram& h) {
-  w.key("n");
-  w.value(h.count());
-  w.key("p50_us");
-  w.value(h.quantile(0.50));
-  w.key("p90_us");
-  w.value(h.quantile(0.90));
-  w.key("p99_us");
-  w.value(h.quantile(0.99));
-  w.key("mean_us");
-  w.value(h.mean());
-  w.key("max_us");
-  w.value(h.max());
+  w.member("n", h.count());
+  w.member("p50_us", h.quantile(0.50));
+  w.member("p90_us", h.quantile(0.90));
+  w.member("p99_us", h.quantile(0.99));
+  w.member("mean_us", h.mean());
+  w.member("max_us", h.max());
 }
 
 std::string report_json(const rmts::server::LoadConfig& config,
                         const rmts::server::LoadReport& report) {
-  using rmts::server::OpClass;
   rmts::server::JsonWriter w;
   w.begin_object();
-  w.key("connections");
-  w.value(config.connections);
+  w.member("connections", config.connections);
   if (config.session) {
-    w.key("session");
-    w.value(true);
-    w.key("churn_rate");
-    w.value(config.churn_rate);
+    w.member("session", true);
+    w.member("churn_rate", config.churn_rate);
   }
-  w.key("seconds");
-  w.value(report.elapsed_seconds);
-  w.key("requests");
-  w.value(report.requests);
-  w.key("offered");
-  w.value(report.offered);
-  w.key("retries");
-  w.value(report.retries);
-  w.key("qps");
-  w.value(report.qps());
-  w.key("goodput");
-  w.value(report.goodput());
-  w.key("ok");
-  w.value(report.ok);
-  w.key("accepted");
-  w.value(report.accepted);
-  w.key("shed");
-  w.value(report.shed);
-  w.key("expired");
-  w.value(report.expired);
-  w.key("errors");
-  w.value(report.errors);
-  w.key("transport_errors");
-  w.value(report.transport_errors);
+  w.member("seconds", report.elapsed_seconds);
+  w.member("requests", report.requests);
+  w.member("offered", report.offered);
+  w.member("retries", report.retries);
+  w.member("qps", report.qps());
+  w.member("goodput", report.goodput());
+  w.member("ok", report.ok);
+  w.member("accepted", report.accepted);
+  w.member("shed", report.shed);
+  w.member("expired", report.expired);
+  w.member("errors", report.errors);
+  w.member("transport_errors", report.transport_errors);
   w.key("latency");
   w.begin_object();
   write_quantiles(w, report.latency_us);
   w.end_object();
   w.key("per_op");
   w.begin_object();
-  for (std::size_t op = 0; op < rmts::server::kOpClassCount; ++op) {
+  for (std::size_t op = 0; op < rmts::server::kOpCount; ++op) {
     const rmts::Histogram& h = report.per_op_latency_us[op];
     if (h.count() == 0) continue;
-    w.key(rmts::server::op_class_name(static_cast<OpClass>(op)));
+    w.key(rmts::server::kOps[op].name);
     w.begin_object();
-    w.key("ok");
-    w.value(report.per_op_ok[op]);
+    w.member("ok", report.per_op_ok[op]);
     write_quantiles(w, h);
     w.end_object();
   }
@@ -234,14 +211,12 @@ int main(int argc, char** argv) {
               << " p90=" << report.percentile_micros(0.90)
               << " p99=" << report.percentile_micros(0.99)
               << " max=" << report.max_micros() << '\n';
-    for (std::size_t op = 0; op < rmts::server::kOpClassCount; ++op) {
+    for (std::size_t op = 0; op < rmts::server::kOpCount; ++op) {
       const rmts::Histogram& h = report.per_op_latency_us[op];
       if (h.count() == 0) continue;
-      std::cout << "  " << rmts::server::op_class_name(
-                              static_cast<rmts::server::OpClass>(op))
-                << " n=" << h.count() << " p50=" << h.quantile(0.50)
-                << " p90=" << h.quantile(0.90) << " p99=" << h.quantile(0.99)
-                << " max=" << h.max() << '\n';
+      std::cout << "  " << rmts::server::kOps[op].name << " n=" << h.count()
+                << " p50=" << h.quantile(0.50) << " p90=" << h.quantile(0.90)
+                << " p99=" << h.quantile(0.99) << " max=" << h.max() << '\n';
     }
     if (!json_path.empty()) {
       std::ofstream out(json_path);
