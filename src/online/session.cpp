@@ -168,8 +168,9 @@ AdmitResult PartitionSession::admit(Time wcet, Time period) {
     body.kind = SubtaskKind::kBody;
     processors_[q].add(body);
     // Measured response of the body just placed; the top-priority guard
-    // makes this equal its wcet (asserted, not assumed), which is what
-    // keeps the next piece's synthetic deadline exact.
+    // makes this equal its wcet (asserted, not assumed, and so never
+    // response_time_of()'s kTimeInfinity miss), which is what keeps the
+    // next piece's synthetic deadline exact.
     const Time response = processors_[q].response_time_of(0);
     assert(response == prefix);
     cursor.consume_body(prefix, response);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "bounds/bound.hpp"
@@ -39,25 +38,32 @@ std::string admission_name(Admission admission) {
   return "?";
 }
 
-bool admits(Admission admission, const ProcessorState& processor,
-            const Subtask& candidate) {
+/// Adds `candidate` to `processor` when `admission` accepts it.  Exact RTA
+/// admits through try_add(), whose accepting probe leaves the processor's
+/// admission cache exact for the next probe.
+bool admit(Admission admission, ProcessorState& processor,
+           const Subtask& candidate) {
+  bool admitted = false;
   switch (admission) {
     case Admission::kExactRta:
-      return processor.fits(candidate);
+      return processor.try_add(candidate);
     case Admission::kLiuLayland: {
       const std::size_t n = processor.subtasks().size() + 1;
-      return processor.utilization() + candidate.utilization() <=
-             liu_layland_theta(n);
+      admitted = processor.utilization() + candidate.utilization() <=
+                 liu_layland_theta(n);
+      break;
     }
     case Admission::kHyperbolic: {
       double product = candidate.utilization() + 1.0;
       for (const Subtask& s : processor.subtasks()) {
         product *= s.utilization() + 1.0;
       }
-      return product <= 2.0;
+      admitted = product <= 2.0;
+      break;
     }
   }
-  return false;
+  if (admitted) processor.add(candidate);
+  return admitted;
 }
 
 /// Indices of `tasks` in the requested offering order.
@@ -73,14 +79,15 @@ std::vector<std::size_t> offering_order(const TaskSet& tasks, TaskOrder order) {
   return ranks;  // RM order == rank order
 }
 
-std::optional<std::size_t> pick_bin(const std::vector<ProcessorState>& processors,
-                                    FitPolicy fit, Admission admission,
-                                    const Subtask& candidate) {
+/// Places `candidate` on the bin `fit` picks among the admitting ones;
+/// false when none admits it.
+bool place(std::vector<ProcessorState>& processors, FitPolicy fit,
+           Admission admission, const Subtask& candidate) {
   if (fit == FitPolicy::kFirstFit) {
-    for (std::size_t q = 0; q < processors.size(); ++q) {
-      if (admits(admission, processors[q], candidate)) return q;
+    for (ProcessorState& processor : processors) {
+      if (admit(admission, processor, candidate)) return true;
     }
-    return std::nullopt;
+    return false;
   }
   // Best/WorstFit pick the admitting processor with the extreme
   // utilization, earliest index on ties.  Probing in preference order --
@@ -100,9 +107,9 @@ std::optional<std::size_t> pick_bin(const std::vector<ProcessorState>& processor
                                            processors[b].utilization();
                    });
   for (const std::size_t q : order) {
-    if (admits(admission, processors[q], candidate)) return q;
+    if (admit(admission, processors[q], candidate)) return true;
   }
-  return std::nullopt;
+  return false;
 }
 
 }  // namespace
@@ -119,10 +126,7 @@ Assignment PartitionedRm::partition(const TaskSet& tasks, std::size_t m) const {
   std::vector<TaskId> unassigned;
   for (const std::size_t rank : offering_order(tasks, order_)) {
     const Subtask candidate = whole_subtask(tasks[rank], rank);
-    const auto q = pick_bin(processors, fit_, admission_, candidate);
-    if (q) {
-      processors[*q].add(candidate);
-    } else {
+    if (!place(processors, fit_, admission_, candidate)) {
       unassigned.push_back(tasks[rank].id);
     }
   }

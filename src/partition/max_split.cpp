@@ -1,6 +1,7 @@
 #include "partition/max_split.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <span>
 #include <vector>
 
@@ -56,16 +57,31 @@ struct Arrivals {
 /// the improvement test are kept by addition and multiplication; the only
 /// division is taken when the best value improves.  Once W overflows int64
 /// no later point is admissible, so the pass ends there.
+///
+/// The pass starts just after `start`, a lower bound on the job's
+/// candidate-free response time (0 when none is known): every t <= start
+/// has wcet + W(t) >= t, so no point there admits a positive prefix.
+/// Starting costs one division per arrival sequence: the releases at or
+/// before `start` are counted in closed form, with the same checked
+/// arithmetic as the sweep.
 Time max_budget(std::span<const Subtask> higher, Time wcet, Time deadline,
-                Time candidate_period, Time cap) {
+                Time candidate_period, Time cap, Time start) {
   thread_local std::vector<Arrivals> streams;
   streams.clear();
   Time demand = 0;  // W on the current gap: every job released before it
   Time t = deadline;
   for (const Subtask& j : higher) {
-    if (__builtin_add_overflow(demand, j.wcet, &demand)) return 0;
-    streams.push_back({j.period, j.period, j.wcet});
-    t = std::min(t, j.period);
+    // k releases at 0, T_j, ..., (k-1)*T_j <= start; the next is k*T_j.
+    const Time k = start / j.period + 1;
+    Time jobs_demand = 0;
+    if (__builtin_mul_overflow(k, j.wcet, &jobs_demand) ||
+        __builtin_add_overflow(demand, jobs_demand, &demand)) {
+      return 0;  // W overflows by start: no point admits a prefix
+    }
+    Time next = 0;
+    if (__builtin_mul_overflow(k, j.period, &next)) next = kTimeInfinity;
+    streams.push_back({next, j.period, j.wcet});
+    t = std::min(t, next);
   }
 
   Time best = 0;
@@ -76,9 +92,13 @@ Time max_budget(std::span<const Subtask> higher, Time wcet, Time deadline,
       best = slack / jobs;
     }
   };
-  Time released = 0;  // candidate releases m*T_c < t, m >= 1
-  Time last_release = 0;
-  Time next_release = candidate_period;  // kTimeInfinity once unrepresentable
+  // Candidate releases m*T_c < t, m >= 1; those at or before start first.
+  Time released = start / candidate_period;
+  Time last_release = released * candidate_period;  // <= start
+  Time next_release = 0;  // kTimeInfinity once unrepresentable
+  if (__builtin_add_overflow(last_release, candidate_period, &next_release)) {
+    next_release = kTimeInfinity;
+  }
   while (true) {
     while (next_release < t) {
       last_release = next_release;
@@ -117,14 +137,28 @@ Time max_wcet_points(const ProcessorState& processor, const Subtask& prototype) 
       [](const Subtask& a, const Subtask& b) { return a.priority < b.priority; });
   const auto pos = static_cast<std::size_t>(pos_it - hosted.begin());
 
+  // Each lower-priority host i keeps its deadline only if the prefix fits
+  // in its slack: with c added, its response grows to at least R_i + c.
+  // R_i is its candidate-free response, exact in the admission cache.
+  thread_local std::vector<Time> responses;
+  responses.clear();
+  Time budget = prototype.wcet;
+  for (std::size_t i = pos; i < hosted.size(); ++i) {
+    const Time response = processor.response_time_of(i);
+    assert(response <= hosted[i].deadline);  // schedulable by precondition
+    responses.push_back(response);
+    budget = std::min(budget, hosted[i].deadline - response);
+  }
+  if (budget <= 0) return 0;
+
   // The prototype's own job under its higher-priority hosts (a period of
   // kTimeInfinity releases it once), then every lower-priority host with
-  // the prototype as an extra interferer.
-  Time budget = max_budget(hosted.first(pos), 0, prototype.deadline,
-                           kTimeInfinity, prototype.wcet);
+  // the prototype as an extra interferer, each swept from its response.
+  budget = max_budget(hosted.first(pos), 0, prototype.deadline,
+                      kTimeInfinity, budget, 0);
   for (std::size_t i = pos; i < hosted.size() && budget > 0; ++i) {
     budget = max_budget(hosted.first(i), hosted[i].wcet, hosted[i].deadline,
-                        prototype.period, budget);
+                        prototype.period, budget, responses[i - pos]);
   }
   return budget;
 }

@@ -15,7 +15,11 @@
 //    per hosted subtask merges the higher-priority arrival sequences in
 //    time order and evaluates the closed form at each hosted scheduling
 //    point and at the last candidate arrival before it; the pass stops as
-//    soon as the subtask can no longer lower the budget.  Still
+//    soon as the subtask can no longer lower the budget.  Each pass starts
+//    at the subtask's candidate-free response time R_i, read from the
+//    processor's admission cache (no earlier point admits a positive
+//    prefix), and the budget starts capped at the least slack D_i - R_i
+//    (a prefix c pushes R_i to at least R_i + c).  Still
 //    pseudo-polynomial but much faster (measured in bench_e8_runtime
 //    BM_MaxSplit).
 // Both compute the same value on every input (property-tested, and

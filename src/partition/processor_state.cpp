@@ -242,9 +242,6 @@ void ProcessorState::fits_batch(std::span<const Subtask> candidates,
 Time ProcessorState::response_time_of(std::size_t index) const {
   assert(index < subtasks_.size());
   ensure_response(index);
-  // Callers only query subtasks that were admitted via fits(); the fixed
-  // point therefore exists below the deadline.
-  assert(cache_->response[index] != kTimeInfinity);
   return cache_->response[index];
 }
 

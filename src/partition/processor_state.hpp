@@ -128,6 +128,9 @@ class ProcessorState {
   /// subtasks()).  Used to fix the synthetic deadline of a split remainder
   /// (paper Eq. 1) from the *actual* response time of the placed body.
   /// Served from the cache after the first query per hosted set.
+  /// Returns kTimeInfinity for a known miss: a subtask that misses its
+  /// deadline, as a force-added one can (see Cache::response).  Callers
+  /// that need a finite response assert it themselves.
   [[nodiscard]] Time response_time_of(std::size_t index) const;
 
  private:

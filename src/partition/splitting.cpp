@@ -49,6 +49,7 @@ bool assign_or_split(ProcessorState& processor, ChainCursor& cursor,
     // Measured response time of the body just placed.  The top-priority
     // guard above makes Lemma 2 structural, so this equals the body's
     // wcet; we still read it from RTA (and assert) rather than assume.
+    // The assert also rules out response_time_of()'s kTimeInfinity miss.
     const Time response = processor.response_time_of(0);
     assert(response == prefix);
     cursor.consume_body(prefix, response);

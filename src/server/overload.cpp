@@ -1,6 +1,7 @@
 #include "server/overload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "server/json.hpp"
@@ -47,6 +48,45 @@ std::size_t scan_string(std::string_view text, std::size_t pos,
     ++i;
   }
   return std::string_view::npos;
+}
+
+/// The text of a scanned string body with its escapes decoded, for
+/// comparing keys and op names the way the router sees them.  Bodies
+/// without a backslash are returned as they are; an escaped one is decoded
+/// into `buf`.  Keys and op names are short ASCII letters, digits and
+/// underscores, so only \u00XX escapes can spell one: a body with any
+/// other escape, a malformed one, or one that decodes to more than `buf`
+/// holds comes back empty, which matches no key and no op.
+std::string_view decoded(std::string_view body,
+                         std::array<char, 32>& buf) noexcept {
+  if (body.find('\\') == std::string_view::npos) return body;
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    char c = body[i];
+    if (c == '\\') {
+      if (i + 5 >= body.size() || body[i + 1] != 'u') return {};
+      unsigned code = 0;
+      for (std::size_t k = i + 2; k <= i + 5; ++k) {
+        const char h = body[k];
+        code <<= 4;
+        if (h >= '0' && h <= '9') {
+          code |= static_cast<unsigned>(h - '0');
+        } else if (h >= 'a' && h <= 'f') {
+          code |= static_cast<unsigned>(h - 'a' + 10);
+        } else if (h >= 'A' && h <= 'F') {
+          code |= static_cast<unsigned>(h - 'A' + 10);
+        } else {
+          return {};
+        }
+      }
+      if (code >= 0x80) return {};
+      c = static_cast<char>(code);
+      i += 5;
+    }
+    if (out == buf.size()) return {};
+    buf[out++] = c;
+  }
+  return {buf.data(), out};
 }
 
 }  // namespace
@@ -167,7 +207,11 @@ RequestPeek peek_request(std::string_view line) noexcept {
     const std::size_t value = skip_colon(line, pos);
     if (value == std::string_view::npos) continue;  // a value, not a key
     pos = value;
-    if (body == "op") {
+    // The router matches keys and op names after decoding their escapes,
+    // so the peek does too: an escaped "op" must not slip its budget.
+    std::array<char, 32> key_buf;
+    const std::string_view key = decoded(body, key_buf);
+    if (key == "op") {
       // The router reads the first "op" key, so the peek does too: a
       // later duplicate cannot move the line out of its class budget.
       if (!op_seen && pos < line.size() && line[pos] == '"') {
@@ -175,10 +219,11 @@ RequestPeek peek_request(std::string_view line) noexcept {
         const std::size_t end = scan_string(line, pos, op);
         if (end == std::string_view::npos) return peek;
         pos = end;
-        peek.op = find_op(op);
+        std::array<char, 32> op_buf;
+        peek.op = find_op(decoded(op, op_buf));
       }
       op_seen = true;
-    } else if (body == "deadline_ms") {
+    } else if (key == "deadline_ms") {
       std::int64_t value_ms = 0;
       bool any = false;
       while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9' &&

@@ -1,10 +1,17 @@
 // Strict-partitioning and global baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "bounds/bound.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "helpers.hpp"
 #include "partition/baselines.hpp"
+#include "partition/policies.hpp"
+#include "partition/processor_state.hpp"
 #include "workload/generators.hpp"
 
 namespace rmts {
@@ -128,6 +135,89 @@ TEST(PartitionedRm, AcceptedPartitionsPassInvariants) {
     testing::expect_valid_partition(tasks, a);
   }
   EXPECT_GT(accepted, 20);
+}
+
+/// P-RM with exact-RTA admission placed through fits() + add(): the first
+/// admitting processor (FF) or the admitting one with the highest (BF) or
+/// lowest (WF) utilization, earliest index on ties.
+Assignment fits_then_add(const TaskSet& tasks, std::size_t m, FitPolicy fit,
+                         TaskOrder order) {
+  std::vector<std::size_t> ranks(tasks.size());
+  std::iota(ranks.begin(), ranks.end(), 0);
+  if (order == TaskOrder::kDecreasingUtilization) {
+    std::stable_sort(ranks.begin(), ranks.end(), [&](std::size_t a, std::size_t b) {
+      return tasks[a].utilization() > tasks[b].utilization();
+    });
+  }
+  std::vector<ProcessorState> processors(m);
+  std::vector<TaskId> unassigned;
+  for (const std::size_t rank : ranks) {
+    const Subtask candidate = whole_subtask(tasks[rank], rank);
+    std::size_t pick = m;
+    for (std::size_t q = 0; q < m; ++q) {
+      if (!processors[q].fits(candidate)) continue;
+      if (pick == m) {
+        pick = q;
+        if (fit == FitPolicy::kFirstFit) break;
+        continue;
+      }
+      const double u = processors[q].utilization();
+      const double best = processors[pick].utilization();
+      if (fit == FitPolicy::kBestFit ? u > best : u < best) pick = q;
+    }
+    if (pick == m) {
+      unassigned.push_back(tasks[rank].id);
+    } else {
+      processors[pick].add(candidate);
+    }
+  }
+  return finalize_assignment(processors, std::move(unassigned));
+}
+
+TEST(PartitionedRm, ExactRtaTryAddMatchesFitsThenAddWithoutWarmMisses) {
+  // Exact-RTA admission runs through try_add(), whose accepting probe
+  // leaves every response exact: the same assignment as fits() + add(),
+  // and no admission-cache miss to re-derive afterwards.
+  const bool counting = trace::compiled_in();
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  Rng rng(17);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    WorkloadConfig config;
+    config.tasks = 16;
+    config.processors = 4;
+    config.normalized_utilization = 0.75 + 0.005 * static_cast<double>(i);
+    Rng sample = rng.fork(i);
+    const TaskSet tasks = generate(sample, config);
+    for (const FitPolicy fit :
+         {FitPolicy::kFirstFit, FitPolicy::kBestFit, FitPolicy::kWorstFit}) {
+      for (const TaskOrder order :
+           {TaskOrder::kDecreasingUtilization, TaskOrder::kRateMonotonic}) {
+        const PartitionedRm prm(fit, order, Admission::kExactRta);
+        const std::uint64_t misses_before =
+            trace::snapshot().counter(trace::Counter::kAdmissionCacheMiss);
+        const Assignment got = prm.partition(tasks, config.processors);
+        if (counting) {
+          EXPECT_EQ(trace::snapshot().counter(trace::Counter::kAdmissionCacheMiss),
+                    misses_before)
+              << prm.name() << " set " << i;
+        }
+        const Assignment want = fits_then_add(tasks, config.processors, fit, order);
+        ASSERT_EQ(got.success, want.success) << prm.name() << " set " << i;
+        EXPECT_EQ(got.unassigned, want.unassigned) << prm.name() << " set " << i;
+        ASSERT_EQ(got.processors.size(), want.processors.size());
+        for (std::size_t q = 0; q < got.processors.size(); ++q) {
+          const auto& a = got.processors[q].subtasks;
+          const auto& b = want.processors[q].subtasks;
+          ASSERT_EQ(a.size(), b.size()) << prm.name() << " set " << i << " proc " << q;
+          for (std::size_t k = 0; k < a.size(); ++k) {
+            EXPECT_EQ(a[k].task_id, b[k].task_id) << prm.name() << " set " << i;
+          }
+        }
+      }
+    }
+  }
+  trace::set_enabled(was_enabled);
 }
 
 TEST(PartitionedEdf, AcceptsPerfectPacking) {

@@ -161,6 +161,70 @@ TEST(MaxSplit, SaturatedDemandMatchesBinarySearch) {
                           (k60 - 1) / 3);
 }
 
+// hp (7, 40) above lp (35, 400, D = 84); candidate period 58.  lp's
+// candidate-free response is R = 35 + 2 * 7 = 49, inside the gap (40, 80]
+// of hp's arrivals.  Its best point is that gap's end: floor((80 - 35 -
+// 14) / 2) = 15; the deadline 84 under W = 21 gives only 14, and the
+// points at or below 49 give nothing.  A sweep starting past R's gap
+// would return 14.
+TEST(MaxSplit, OptimumInGapContainingResponse) {
+  ProcessorState processor;
+  processor.add(make_subtask(1, 7, 40));
+  processor.add(make_subtask(2, 35, 400, 84));
+  ASSERT_EQ(processor.response_time_of(1), 49);
+  expect_exact_bottleneck(processor, make_subtask(0, 30, 58), 15);
+}
+
+// hp (10, 1000) above lp (50, 1000, D = 100): R = 60, and no hp arrival
+// falls in (60, 100].  A candidate with period 200 releases one job before
+// lp's deadline, so lp admits exactly its slack D - R = 40: the budget cap
+// is the answer.
+TEST(MaxSplit, SlackCapIsTheAnswer) {
+  ProcessorState processor;
+  processor.add(make_subtask(1, 10, 1000));
+  processor.add(make_subtask(2, 50, 1000, 100));
+  ASSERT_EQ(processor.response_time_of(1), 60);
+  expect_exact_bottleneck(processor, make_subtask(0, 100, 200), 40);
+}
+
+// remove() shrinks the interferer sets, so the responses MaxSplit starts
+// from are re-derived from re-seeded cache entries; the methods must still
+// agree on processors churned by try_add() and remove().
+TEST(MaxSplit, MethodsAgreeAfterRemovalChurn) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    ProcessorState processor;
+    for (int step = 0; step < 16; ++step) {
+      if (!processor.empty() && rng.uniform() < 0.3) {
+        processor.remove(static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(processor.subtasks().size()) - 1)));
+        continue;
+      }
+      const auto priority = static_cast<std::size_t>(rng.uniform_int(1, 40));
+      const auto hosted = processor.subtasks();
+      if (std::any_of(hosted.begin(), hosted.end(), [&](const Subtask& s) {
+            return s.priority == priority;
+          })) {
+        continue;
+      }
+      const Time period = rng.uniform_int(20, 300);
+      Subtask s = make_subtask(priority, rng.uniform_int(1, period / 3), period);
+      if (rng.uniform() < 0.3) s.deadline = rng.uniform_int(s.wcet, period);
+      (void)processor.try_add(s);
+    }
+    const Time period = rng.uniform_int(20, 300);
+    const Subtask candidate = make_subtask(0, rng.uniform_int(1, period), period);
+    const Time via_binary = max_admissible_wcet(processor, candidate, kBinary);
+    ASSERT_EQ(max_admissible_wcet(processor, candidate, kPoints), via_binary)
+        << "trial " << trial;
+    if (via_binary < candidate.wcet) {
+      Subtask over = candidate;
+      over.wcet = via_binary + 1;
+      EXPECT_FALSE(processor.fits(over)) << "trial " << trial;
+    }
+  }
+}
+
 // Randomized equivalence + bottleneck property: both implementations agree,
 // the result fits, and one more tick does not (Definition 2's bottleneck).
 TEST(MaxSplit, MethodsAgreeAndLeaveBottleneck) {

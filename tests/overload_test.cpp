@@ -301,6 +301,21 @@ TEST(PeekRequest, FirstOpKeyWinsAsInTheRouter) {
   EXPECT_EQ(peek_request(R"({"op":7,"op":"admit"})").op, nullptr);
 }
 
+TEST(PeekRequest, DecodesEscapedKeysAndOpsAsTheRouterDoes) {
+  // The router decodes escapes before it looks the op up, so an escaped
+  // spelling must land in the same class budget as the plain one.
+  EXPECT_EQ(peek_request(R"({"op":"adm\u0069t"})").op, find_op("admit"));
+  EXPECT_EQ(peek_request(R"({"\u006fp":"admit"})").op, find_op("admit"));
+  EXPECT_EQ(peek_request(R"({"op":"session\u005fadmit"})").op,
+            find_op("session_admit"));
+  EXPECT_EQ(peek_request(R"({"op":"admit","deadline\u005fms":9})").deadline_ms,
+            9);
+  // Escapes that decode to no op name stay unbudgeted.
+  EXPECT_EQ(peek_request(R"({"op":"adm\u00e9t"})").op, nullptr);
+  EXPECT_EQ(peek_request(R"({"op":"adm\qit"})").op, nullptr);
+  EXPECT_EQ(peek_request(R"({"op":"admit\u00"})").op, nullptr);
+}
+
 TEST(PeekRequest, MatchesTheBuiltRequests) {
   const auto tasks = TaskSet::from_pairs({{1, 4}, {1, 5}});
   const RequestPeek peek =
@@ -499,6 +514,47 @@ TEST(OverloadLive, TightSloShrinksBudgetUnderSustainedLoad) {
   EXPECT_EQ(ok + shed, kBurst);
   EXPECT_GT(shed, 0);
   EXPECT_GT(server->runtime_stats().classes[kAdmitIdx].shed, 0u);
+}
+
+TEST(OverloadLive, EscapedOpHoldsItsClassBudget) {
+  // Regression: the peek compared the still-escaped op, so "adm\u0069t"
+  // ran as admit but held no admit budget and was never shed.
+  ServerConfig config;
+  config.port = 0;
+  config.workers = 1;
+  config.overload.adaptive = false;
+  config.overload.initial_budget = 1;
+  config.overload.min_budget = 1;
+  config.overload.max_budget = 1;
+  LiveServer server(config);
+  Client client("127.0.0.1", server->port());
+  const auto tasks = TaskSet::from_pairs({{1, 4}, {1, 5}, {2, 10}});
+  const std::string plain = make_admit_request(2, tasks);
+  std::string escaped = plain;
+  const std::size_t at = escaped.find(R"("op":"admit")");
+  ASSERT_NE(at, std::string::npos) << plain;
+  escaped.replace(at, 12, R"("op":"adm\u0069t")");
+  ASSERT_TRUE(parse_ok(client.request(escaped)).find("ok")->as_bool());
+
+  // One pipelined wave per spelling: with a budget of 1, most of each
+  // wave is shed.
+  constexpr int kBurst = 64;
+  const auto shed_in_wave = [&](const std::string& line) {
+    for (int i = 0; i < kBurst; ++i) client.send_line(line);
+    int shed = 0;
+    for (int i = 0; i < kBurst; ++i) {
+      const JsonValue reply = parse_ok(client.read_reply());
+      if (!reply.find("ok")->as_bool()) {
+        EXPECT_EQ(reply.find("error")->as_string(), "overloaded");
+        ++shed;
+      }
+    }
+    return shed;
+  };
+  EXPECT_GT(shed_in_wave(plain), 0);
+  const std::uint64_t shed_before = server->runtime_stats().classes[kAdmitIdx].shed;
+  EXPECT_GT(shed_in_wave(escaped), 0);
+  EXPECT_GT(server->runtime_stats().classes[kAdmitIdx].shed, shed_before);
 }
 
 TEST(OverloadLive, HeldOrderedRepliesCountTowardBackpressure) {

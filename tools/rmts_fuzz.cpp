@@ -60,11 +60,12 @@
 //
 // The `maxsplit` mode differentially fuzzes the scheduling-point MaxSplit
 // against the binary-search oracle: random processors built through
-// fits()/add() (log-uniform periods in [1e3, 1e6], synthetic tail
-// deadlines) and prototypes at the top priority -- the RM-TS shape -- or
-// below hosted priorities, which exercises the self-budget path.  A share
-// of the cases is overflow-scale: periods and wcets near 2^62, deadlines
-// near kTimeInfinity and candidate periods whose arrivals saturate there.
+// fits()/add() or through try_add()/remove() churn (log-uniform periods
+// in [1e3, 1e6], synthetic tail deadlines) and prototypes at the top
+// priority -- the RM-TS shape -- or below hosted priorities, which
+// exercises the self-budget path.  A share of the cases is
+// overflow-scale: periods and wcets near 2^62, deadlines near
+// kTimeInfinity and candidate periods whose arrivals saturate there.
 // Both methods must agree, and the result must leave a bottleneck: it
 // fits, and one more tick does not.
 //
@@ -912,6 +913,7 @@ std::uint64_t maxsplit_fuzz(double seconds, std::uint64_t seed) {
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t attempts = 0;
   std::uint64_t overflow_cases = 0;
+  std::uint64_t churn_cases = 0;
   std::uint64_t lower_priority = 0;
   std::uint64_t partial = 0;  // 0 < result < wcet: a real split
   std::uint64_t violations = 0;
@@ -923,16 +925,35 @@ std::uint64_t maxsplit_fuzz(double seconds, std::uint64_t seed) {
     overflow_cases += overflow_scale ? 1 : 0;
 
     // Hosted priorities are distinct draws from 1..40; a prototype at 0
-    // is top-priority (the RM-TS split shape).
+    // is top-priority (the RM-TS split shape).  A quarter of the
+    // processors are built through add/remove churn, the online session's
+    // shape: remove() re-seeds the cached responses MaxSplit starts from.
     ProcessorState processor;
     std::vector<std::size_t> taken;
-    const auto hosted = sample.uniform_int(0, 10);
+    const bool churned = sample.uniform_int(0, 3) == 0;
+    churn_cases += churned ? 1 : 0;
+    const auto hosted = sample.uniform_int(0, 10) * (churned ? 2 : 1);
     for (std::int64_t k = 0; k < hosted; ++k) {
+      if (churned && !taken.empty() && sample.uniform_int(0, 2) == 0) {
+        const auto index = static_cast<std::size_t>(sample.uniform_int(
+            0, static_cast<std::int64_t>(taken.size()) - 1));
+        const std::size_t gone = processor.subtasks()[index].priority;
+        taken.erase(std::find(taken.begin(), taken.end(), gone));
+        processor.remove(index);
+        continue;
+      }
       const auto priority = static_cast<std::size_t>(sample.uniform_int(1, 40));
       if (std::find(taken.begin(), taken.end(), priority) != taken.end()) continue;
       const Subtask s = random_split_subtask(sample, priority, overflow_scale);
-      if (!processor.fits(s)) continue;  // MaxSplit's precondition
-      processor.add(s);
+      // MaxSplit's precondition: the processor stays schedulable.  Churn
+      // admits through try_add() as the session does (the cache commits
+      // its probe), the rest through fits() + add() (stale seeds).
+      if (churned) {
+        if (!processor.try_add(s)) continue;
+      } else {
+        if (!processor.fits(s)) continue;
+        processor.add(s);
+      }
       taken.push_back(priority);
     }
     std::size_t priority = 0;
@@ -980,7 +1001,8 @@ std::uint64_t maxsplit_fuzz(double seconds, std::uint64_t seed) {
   }
 
   std::cout << "rmts_fuzz maxsplit: " << attempts << " cases (" << overflow_cases
-            << " overflow-scale, " << lower_priority << " lower-priority prototypes, "
+            << " overflow-scale, " << churn_cases << " churned, "
+            << lower_priority << " lower-priority prototypes, "
             << partial << " partial splits), " << violations
             << " violations (seed " << seed << ")\n";
   return violations;
